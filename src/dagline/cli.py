@@ -44,7 +44,7 @@ from dagline.runtime import (
     report_from_doc,
     run,
 )
-from dagline.store import BaseStore, ExecutionRecord, FileStore
+from dagline.store import BaseStore, ExecutionRecord, FileStore, _atomic_write
 
 try:
     import fcntl
@@ -201,10 +201,11 @@ def _read_edit_log(store: FileStore) -> list[dict]:
         return []
     return json.loads(path.read_text(encoding="utf-8"))
 
+
 def _append_edit_log(store: FileStore, entry: dict) -> None:
     entries = _read_edit_log(store)
     entries.append(entry)
-    _edit_log_path(store).write_bytes(canonical_json_bytes(entries) + b"\n")
+    _atomic_write(_edit_log_path(store), canonical_json_bytes(entries) + b"\n")
 
 
 def _replay_edit_log(workspace: Workspace, store: FileStore) -> Workspace:
@@ -259,9 +260,10 @@ def _cmd_edit(args: argparse.Namespace) -> int:
         content = Path(file_name).read_bytes()
         edit = EditEvent(ARTIFACT_EDIT, node, content, event_id=event_id)
     _, dirty = apply_edit(workspace, edit)
+    spec = workspace.graph.node(edit.node_id)
     artifact_id = store.put_artifact(
         content,
-        content_type="text",
+        content_type=spec.port(edit.port).artifact_type if edit.port else spec.output_type,
         producer=edit.node_id,
         produced_under=None,
     )

@@ -6,7 +6,8 @@ Ports that are not fed by an edge are fed by an immutable context binding
 supplied at run time; a port is never fed by both.
 
 All types here are immutable after construction and all operations are pure,
-so the module is safe for unrestricted concurrent use.
+so the module is safe for unrestricted concurrent use. A graph fills its
+sorted edge lists and spec hashes lazily; a racing fill stores equal values.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from dagline.errors import CycleError, UnknownNodeError
+from dagline.identity import ContentHash, hash_spec
 
 if TYPE_CHECKING:
     from dagline.executors import ExecutorRegistry
@@ -135,7 +138,7 @@ class WorkflowGraph:
     permuted inputs compare equal and hash identically downstream.
     """
 
-    __slots__ = ("_nodes", "_edges", "_consumers", "_producers")
+    __slots__ = ("_nodes", "_edges", "_consumers", "_incoming", "_spec_hashes")
 
     def __init__(self, nodes: Iterable[NodeSpec], edges: Iterable[Edge | tuple[str, str, str]]) -> None:
         self._nodes: dict[str, NodeSpec] = {}
@@ -146,15 +149,18 @@ class WorkflowGraph:
         self._edges = frozenset(
             e if isinstance(e, Edge) else Edge(*e) for e in edges
         )
+        # One pass builds both indexes. A consumer's incoming edges are sorted
+        # on its first edges_into lookup, so construction never pays for it.
         self._consumers: dict[str, set[str]] = defaultdict(set)
-        self._producers: dict[str, set[str]] = defaultdict(set)
+        self._incoming: dict[str, list[Edge] | tuple[Edge, ...]] = defaultdict(list)
         for e in self._edges:
             self._consumers[e.producer].add(e.consumer)
-            self._producers[e.consumer].add(e.producer)
+            self._incoming[e.consumer].append(e)
+        self._spec_hashes: dict[str, ContentHash] = {}
 
     @property
     def nodes(self) -> Mapping[str, NodeSpec]:
-        return dict(self._nodes)
+        return MappingProxyType(self._nodes)
 
     @property
     def edges(self) -> frozenset[Edge]:
@@ -170,14 +176,22 @@ class WorkflowGraph:
         return tuple(sorted(self._nodes))
 
     def edges_into(self, node_id: str) -> tuple[Edge, ...]:
-        return tuple(sorted(
-            (e for e in self._edges if e.consumer == node_id),
-            key=lambda e: (e.port, e.producer),
-        ))
+        edges = self._incoming.get(node_id, ())
+        if isinstance(edges, list):
+            edges = tuple(sorted(edges, key=lambda e: (e.port, e.producer)))
+            self._incoming[node_id] = edges
+        return edges
 
     def predecessors(self, node_id: str) -> frozenset[str]:
         self.node(node_id)
-        return frozenset(self._producers.get(node_id, ()))
+        return frozenset(e.producer for e in self._incoming.get(node_id, ()))
+
+    def spec_hash(self, node_id: str) -> ContentHash:
+        """The node's spec hash, computed on first use; specs never change."""
+        spec_hash = self._spec_hashes.get(node_id)
+        if spec_hash is None:
+            spec_hash = self._spec_hashes[node_id] = hash_spec(self.node(node_id))
+        return spec_hash
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WorkflowGraph):
@@ -279,25 +293,31 @@ def validate_graph(
 
 def _find_cycle_members(graph: WorkflowGraph) -> frozenset[str]:
     """Nodes that cannot be scheduled because they sit on or behind a cycle."""
-    indegree = {n: 0 for n in graph.nodes}
-    consumers: dict[str, set[str]] = defaultdict(set)
-    for e in graph.edges:
-        if e.producer in indegree and e.consumer in indegree:
-            if e.consumer not in consumers[e.producer]:
-                consumers[e.producer].add(e.consumer)
-                indegree[e.consumer] += 1
+    indegree = _indegrees(graph)
     queue = [n for n, d in indegree.items() if d == 0]
     removed = 0
     while queue:
         n = queue.pop()
         removed += 1
-        for c in consumers[n]:
-            indegree[c] -= 1
-            if indegree[c] == 0:
-                queue.append(c)
+        for c in graph._consumers.get(n, ()):
+            if c in indegree:
+                indegree[c] -= 1
+                if indegree[c] == 0:
+                    queue.append(c)
     if removed == len(indegree):
         return frozenset()
     return frozenset(n for n, d in indegree.items() if d > 0)
+
+
+def _indegrees(graph: WorkflowGraph) -> dict[str, int]:
+    """Distinct producers per node, counting only edges between known nodes."""
+    indegree = dict.fromkeys(graph._nodes, 0)
+    for producer, consumers in graph._consumers.items():
+        if producer in indegree:
+            for c in consumers:
+                if c in indegree:
+                    indegree[c] += 1
+    return indegree
 
 
 def topological_order(graph: WorkflowGraph) -> list[str]:
@@ -306,21 +326,17 @@ def topological_order(graph: WorkflowGraph) -> list[str]:
     The order is a pure function of the graph, so scheduling traces and
     report layouts are reproducible across processes.
     """
-    indegree = {n: 0 for n in graph.nodes}
-    consumers: dict[str, set[str]] = defaultdict(set)
     for e in graph.edges:
-        if e.producer not in indegree or e.consumer not in indegree:
+        if e.producer not in graph._nodes or e.consumer not in graph._nodes:
             raise UnknownNodeError(f"edge endpoint missing from graph: {e}")
-        if e.consumer not in consumers[e.producer]:
-            consumers[e.producer].add(e.consumer)
-            indegree[e.consumer] += 1
+    indegree = _indegrees(graph)
     ready = [n for n, d in indegree.items() if d == 0]
     heapq.heapify(ready)
     order: list[str] = []
     while ready:
         n = heapq.heappop(ready)
         order.append(n)
-        for c in sorted(consumers[n]):
+        for c in graph._consumers.get(n, ()):
             indegree[c] -= 1
             if indegree[c] == 0:
                 heapq.heappush(ready, c)
@@ -351,14 +367,12 @@ def descendants(graph: WorkflowGraph, roots: Iterable[str]) -> frozenset[str]:
     for n in root_set:
         if n not in graph.nodes:
             raise UnknownNodeError(f"unknown root {n!r}")
-    consumers: dict[str, set[str]] = defaultdict(set)
-    for e in graph.edges:
-        consumers[e.producer].add(e.consumer)
+    consumers = graph._consumers
     seen: set[str] = set()
     frontier = list(root_set)
     while frontier:
         node = frontier.pop()
-        for c in consumers[node]:
+        for c in consumers.get(node, ()):
             if c not in seen:
                 seen.add(c)
                 frontier.append(c)

@@ -159,12 +159,18 @@ def compute_execution_identity(
     input_hash: ContentHash,
     predecessors: Mapping[str, ContentHash] | None = None,
 ) -> ExecutionIdentity:
-    """Combine the three identity components into a verified ExecutionIdentity."""
+    """Combine the three identity components into a verified ExecutionIdentity.
+
+    The value is computed here from the parts, so the constructor's
+    self-verification, which would hash the same document again, is skipped.
+    """
     preds = dict(predecessors or {})
-    value = _identity_value(spec_hash, input_hash, preds)
-    return ExecutionIdentity(
-        value=value, spec_hash=spec_hash, input_hash=input_hash, predecessors=preds
-    )
+    identity = object.__new__(ExecutionIdentity)
+    object.__setattr__(identity, "value", _identity_value(spec_hash, input_hash, preds))
+    object.__setattr__(identity, "spec_hash", spec_hash)
+    object.__setattr__(identity, "input_hash", input_hash)
+    object.__setattr__(identity, "predecessors", preds)
+    return identity
 
 
 def _plain(value: Any) -> Any:

@@ -52,7 +52,6 @@ from dagline.identity import (
     compute_execution_identity,
     compute_input_hash,
     hash_content,
-    hash_spec,
 )
 from dagline.store import (
     CONTEXT_INPUT,
@@ -262,7 +261,7 @@ def node_identity(
             )
         preds[port.name] = contributions[producer]
     return compute_execution_identity(
-        spec_hash=hash_spec(spec),
+        spec_hash=workspace.graph.spec_hash(node_id),
         input_hash=compute_input_hash(bindings),
         predecessors=preds,
     )

@@ -165,6 +165,36 @@ class TestEdit:
                       "--context-edit", f"ghost:raw:{ghost}") == 1
 
 
+    @pytest.mark.parametrize("flag,spec", [
+        ("--context-edit", "fetch:raw:{file}"),
+        ("--artifact-edit", "fetch:{file}"),
+    ])
+    def test_edit_artifact_keeps_the_declared_type(self, tmp_path, capsys, flag, spec):
+        from dagline.identity import ContentHash
+        from dagline.store import FileStore
+
+        doc = json.loads(json.dumps(MANIFEST))
+        doc["nodes"][0]["inputs"][0]["type"] = "markdown"
+        doc["nodes"][0]["output_type"] = "json"
+        doc["nodes"][1]["inputs"][0]["type"] = "json"
+        manifest = tmp_path / "typed.json"
+        manifest.write_text(json.dumps(doc))
+        (tmp_path / "ctx" / "fetch").mkdir(parents=True)
+        (tmp_path / "ctx" / "fetch" / "raw").write_bytes(b"# origin\n")
+        store = str(tmp_path / "store")
+        assert invoke("run", str(manifest), "--store", store,
+                      "--context", str(tmp_path / "ctx")) == 0
+        edit_file = tmp_path / "edit.txt"
+        edit_file.write_bytes(b"# revised source\n")
+        assert invoke("edit", str(manifest), "--store", store,
+                      flag, spec.format(file=edit_file)) == 0
+        capsys.readouterr()
+        [entry] = json.loads((tmp_path / "store" / "edits.json").read_bytes())
+        artifact = FileStore(store).get_artifact(ContentHash.from_hex(entry["artifact"]))
+        assert artifact.content == b"# revised source\n"
+        assert artifact.content_type == ("markdown" if flag == "--context-edit" else "json")
+
+
 class TestLineageExplainDiff:
     def test_lineage_tree_depth_three(self, project, capsys):
         invoke(*run_args(project))

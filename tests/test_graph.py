@@ -238,3 +238,55 @@ class TestDescendants:
     def test_unknown_root(self):
         with pytest.raises(UnknownNodeError):
             descendants(chain_graph(), {"ghost"})
+
+
+def permuted_dag(seed: int) -> tuple[list[NodeSpec], list[Edge]]:
+    """A random DAG, declared in shuffled order, with some edges repeated."""
+    rng = random.Random(seed)
+    ids = [f"v{i:02d}" for i in range(rng.randint(8, 30))]
+    nodes, edges = [], []
+    for j, node_id in enumerate(ids):
+        producers = rng.sample(ids[:j], min(j, rng.randint(0, 3)))
+        ports = tuple(dep_port(f"in{k}") for k in range(len(producers))) or (ctx_port(),)
+        nodes.append(synthesis_node(node_id, ports))
+        # Shuffled producers make (port, producer) order differ from either alone.
+        edges += [Edge(p, node_id, f"in{k}") for k, p in enumerate(producers)]
+    edges += rng.sample(edges, len(edges) // 3)
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    return nodes, edges
+
+
+class TestGraphIndex:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_index_matches_brute_force_scans(self, seed):
+        nodes, edges = permuted_dag(seed)
+        graph = WorkflowGraph(nodes, edges)
+        distinct = set(edges)
+        for node_id in graph.node_ids():
+            incoming = sorted(
+                (e for e in distinct if e.consumer == node_id),
+                key=lambda e: (e.port, e.producer),
+            )
+            assert graph.edges_into(node_id) == tuple(incoming)
+            assert graph.edges_into(node_id) == tuple(incoming)  # cached answer
+            assert graph.predecessors(node_id) == {e.producer for e in incoming}
+            reachable, frontier = set(), [node_id]
+            while frontier:
+                current = frontier.pop()
+                for e in distinct:
+                    if e.producer == current and e.consumer not in reachable:
+                        reachable.add(e.consumer)
+                        frontier.append(e.consumer)
+            assert descendants(graph, {node_id}) == reachable - {node_id}
+
+    def test_nodes_view_is_read_only(self):
+        nodes, edges = permuted_dag(3)
+        graph = WorkflowGraph(nodes, edges)
+        victim = graph.node_ids()[0]
+        with pytest.raises(TypeError):
+            graph.nodes[victim] = source_node(victim)  # type: ignore[index]
+        with pytest.raises(TypeError):
+            del graph.nodes[victim]  # type: ignore[attr-defined]
+        assert graph == WorkflowGraph(nodes, edges)
+        assert graph.node(victim) == next(n for n in nodes if n.node_id == victim)

@@ -11,6 +11,7 @@ from dagline.errors import (
     DaglineError,
     ExecutorFailureError,
     IdentityConflictError,
+    IntegrityError,
     MissingContextError,
     MissingDependencyError,
     UnknownTargetError,
@@ -42,7 +43,7 @@ from dagline.runtime import (
     resolve_local_state,
     run,
 )
-from dagline.store import MemoryStore
+from dagline.store import FileStore, MemoryStore
 
 from conftest import (
     chain_workspace,
@@ -198,6 +199,27 @@ class TestRunAndReplay:
         assert report_to_doc(revived) == doc
         stored = workspace.store.get_run_report(report.run_id)
         assert stored == doc
+
+
+class TestReplayIntegrity:
+    @pytest.mark.parametrize("backend", ["memory", "file"])
+    def test_replay_hit_on_tampered_object_raises(self, backend, tmp_path):
+        workspace = chain_workspace()
+        if backend == "file":
+            workspace = replace(workspace, store=FileStore(tmp_path / "store"))
+        cold = run(workspace, FULL)
+        target = cold.final_artifacts["synthesis"].hex
+        store = workspace.store
+        if backend == "memory":
+            content, meta = store._objects[target]
+            store._objects[target] = (b"tampered " + content, meta)
+        else:
+            path = store._object_path(target)
+            raw = bytearray(path.read_bytes())
+            raw[0] ^= 0xFF
+            path.write_bytes(bytes(raw))
+        with pytest.raises(IntegrityError):
+            run(workspace, REPLAY)
 
 
 class TestApplyEdit:

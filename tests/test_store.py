@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -161,6 +162,20 @@ def test_ledger_reload_reconstructs_index(tmp_path):
         found = reopened.lookup_by_identity(record.identity)
         assert found is not None
         assert record_bytes(found) == record_bytes(record)
+
+
+@pytest.mark.parametrize("field", ["spec", "value"])
+def test_tampered_ledger_entry_fails_reopen(tmp_path, field):
+    root = tmp_path / "store"
+    store = FileStore(root)
+    record = record_for(store, b"tamper", b"ledger output")
+    store.record_execution(record)
+    path = root / "executions" / record.identity.value.hex
+    doc = json.loads(path.read_bytes())
+    doc["identity"][field] = hash_content(b"forged " + field.encode()).hex
+    path.write_bytes(json.dumps(doc).encode())
+    with pytest.raises(IntegrityError):
+        FileStore(root)
 
 
 def test_ledger_entry_file_is_bit_exact(tmp_path):
