@@ -41,14 +41,13 @@ PASSTHROUGH = "passthrough"
 class ResolvedLocalState:
     """Everything a node may see while executing.
 
-    Context entries and dependency artifacts are inherited and immutable;
-    local artifacts are scratch space the node itself produces. Executors
-    must not consume ports the spec never declared; ``execute`` enforces it.
+    Context entries and dependency artifacts are inherited and immutable.
+    Executors must not consume ports the spec never declared; ``execute``
+    enforces it.
     """
 
     context_entries: tuple[ContextBinding, ...] = ()
     dependency_artifacts: Mapping[str, ArtifactRecord] = field(default_factory=dict)
-    local_artifacts: list[tuple[bytes, str]] = field(default_factory=list)
 
     def input_surface(self) -> list[tuple[str, bytes]]:
         """(port, bytes) for every input, sorted by port name."""
@@ -65,10 +64,9 @@ class ResolvedLocalState:
 
 @dataclass(frozen=True, slots=True)
 class NodeResult:
-    """What one execution produced: the canonical output plus any candidates."""
+    """What one execution produced: its canonical output and the work it took."""
 
     canonical_output: tuple[bytes, str]
-    candidates: tuple[tuple[bytes, str], ...] = ()
     stats: ExecutionStats = ExecutionStats()
 
 

@@ -7,7 +7,8 @@ supplied at run time; a port is never fed by both.
 
 All types here are immutable after construction and all operations are pure,
 so the module is safe for unrestricted concurrent use. A graph fills its
-sorted edge lists and spec hashes lazily; a racing fill stores equal values.
+sorted edge lists, spec hashes and Kahn pass lazily; a racing fill stores
+equal values.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from dagline.errors import CycleError, UnknownNodeError
 from dagline.identity import ContentHash, hash_spec
@@ -131,6 +132,21 @@ class Violation:
         return f"{self.code}: {self.message}"
 
 
+class KahnPass(NamedTuple):
+    """One Kahn pass over a graph, with lexicographic tie-breaking.
+
+    ``order`` holds every schedulable node; ``stuck`` holds the nodes on or
+    behind a cycle. The remaining fields index ``order`` by rank: each
+    node's count of distinct producers and the ranks of its consumers.
+    """
+
+    order: tuple[str, ...]
+    stuck: frozenset[str]
+    rank: Mapping[str, int]
+    producer_counts: tuple[int, ...]
+    consumer_ranks: tuple[tuple[int, ...], ...]
+
+
 class WorkflowGraph:
     """Immutable DAG of node specs and named dependency edges.
 
@@ -138,7 +154,7 @@ class WorkflowGraph:
     permuted inputs compare equal and hash identically downstream.
     """
 
-    __slots__ = ("_nodes", "_edges", "_consumers", "_incoming", "_spec_hashes")
+    __slots__ = ("_nodes", "_edges", "_consumers", "_incoming", "_spec_hashes", "_kahn")
 
     def __init__(self, nodes: Iterable[NodeSpec], edges: Iterable[Edge | tuple[str, str, str]]) -> None:
         self._nodes: dict[str, NodeSpec] = {}
@@ -157,6 +173,7 @@ class WorkflowGraph:
             self._consumers[e.producer].add(e.consumer)
             self._incoming[e.consumer].append(e)
         self._spec_hashes: dict[str, ContentHash] = {}
+        self._kahn: KahnPass | None = None
 
     @property
     def nodes(self) -> Mapping[str, NodeSpec]:
@@ -192,6 +209,12 @@ class WorkflowGraph:
         if spec_hash is None:
             spec_hash = self._spec_hashes[node_id] = hash_spec(self.node(node_id))
         return spec_hash
+
+    def kahn_pass(self) -> KahnPass:
+        """The graph's Kahn pass, computed on first use; the graph never changes."""
+        if self._kahn is None:
+            self._kahn = _kahn(self._nodes, self._consumers)
+        return self._kahn
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WorkflowGraph):
@@ -233,37 +256,41 @@ def validate_graph(
                 (spec.node_id,),
             ))
 
+    # Consumers in sorted order, each over its (port, producer)-sorted edges:
+    # every edge is visited in (consumer, port, producer) order.
     bindings: dict[tuple[str, str], int] = defaultdict(int)
-    for edge in sorted(graph.edges, key=lambda e: (e.consumer, e.port, e.producer)):
-        endpoint_missing = False
-        for endpoint in (edge.producer, edge.consumer):
-            if endpoint not in known:
+    for consumer in sorted(graph._incoming):
+        spec = graph._nodes.get(consumer)
+        declared = {} if spec is None else {p.name: p for p in spec.input_ports}
+        for edge in graph.edges_into(consumer):
+            endpoint_missing = False
+            for endpoint in (edge.producer, consumer):
+                if endpoint not in known:
+                    violations.append(Violation(
+                        "unknown-edge-endpoint",
+                        f"edge {edge.producer}->{consumer}:{edge.port} names unknown node {endpoint!r}",
+                        (endpoint,),
+                    ))
+                    endpoint_missing = True
+            if endpoint_missing:
+                continue
+            port = declared.get(edge.port)
+            if port is None:
                 violations.append(Violation(
-                    "unknown-edge-endpoint",
-                    f"edge {edge.producer}->{edge.consumer}:{edge.port} names unknown node {endpoint!r}",
-                    (endpoint,),
+                    "undeclared-port",
+                    f"edge into {consumer!r} targets undeclared port {edge.port!r}",
+                    (consumer,),
                 ))
-                endpoint_missing = True
-        if endpoint_missing:
-            continue
-        consumer = graph.nodes[edge.consumer]
-        declared = {p.name: p for p in consumer.input_ports}
-        if edge.port not in declared:
-            violations.append(Violation(
-                "undeclared-port",
-                f"edge into {edge.consumer!r} targets undeclared port {edge.port!r}",
-                (edge.consumer,),
-            ))
-            continue
-        if declared[edge.port].source == CONTEXT:
-            violations.append(Violation(
-                "context-port-edge",
-                f"port {edge.port!r} of node {edge.consumer!r} is context-bound but has an incoming edge",
-                (edge.consumer,),
-            ))
-        bindings[(edge.consumer, edge.port)] += 1
+                continue
+            if port.source == CONTEXT:
+                violations.append(Violation(
+                    "context-port-edge",
+                    f"port {edge.port!r} of node {consumer!r} is context-bound but has an incoming edge",
+                    (consumer,),
+                ))
+            bindings[(consumer, edge.port)] += 1
 
-    for (consumer, port), count in sorted(bindings.items()):
+    for (consumer, port), count in bindings.items():  # inserted in sorted order
         if count > 1:
             violations.append(Violation(
                 "duplicate-binding",
@@ -280,7 +307,7 @@ def validate_graph(
                     (spec.node_id,),
                 ))
 
-    cycle = _find_cycle_members(graph)
+    cycle = graph.kahn_pass().stuck
     if cycle:
         violations.append(Violation(
             "cycle",
@@ -291,33 +318,36 @@ def validate_graph(
     return violations
 
 
-def _find_cycle_members(graph: WorkflowGraph) -> frozenset[str]:
-    """Nodes that cannot be scheduled because they sit on or behind a cycle."""
-    indegree = _indegrees(graph)
-    queue = [n for n, d in indegree.items() if d == 0]
-    removed = 0
-    while queue:
-        n = queue.pop()
-        removed += 1
-        for c in graph._consumers.get(n, ()):
-            if c in indegree:
-                indegree[c] -= 1
-                if indegree[c] == 0:
-                    queue.append(c)
-    if removed == len(indegree):
-        return frozenset()
-    return frozenset(n for n, d in indegree.items() if d > 0)
-
-
-def _indegrees(graph: WorkflowGraph) -> dict[str, int]:
-    """Distinct producers per node, counting only edges between known nodes."""
-    indegree = dict.fromkeys(graph._nodes, 0)
-    for producer, consumers in graph._consumers.items():
-        if producer in indegree:
-            for c in consumers:
-                if c in indegree:
-                    indegree[c] += 1
-    return indegree
+def _kahn(nodes: Mapping[str, NodeSpec], consumers: Mapping[str, set[str]]) -> KahnPass:
+    """Kahn's algorithm over edges between known nodes, least node id first."""
+    counts = dict.fromkeys(nodes, 0)
+    for producer, targets in consumers.items():
+        if producer in counts:
+            for c in targets:
+                if c in counts:
+                    counts[c] += 1
+    waiting = dict(counts)
+    ready = [n for n, d in counts.items() if d == 0]
+    heapq.heapify(ready)
+    order: list[str] = []
+    while ready:
+        n = heapq.heappop(ready)
+        order.append(n)
+        for c in consumers.get(n, ()):
+            if c in waiting:
+                waiting[c] -= 1
+                if waiting[c] == 0:
+                    heapq.heappush(ready, c)
+    rank = {n: i for i, n in enumerate(order)}
+    return KahnPass(
+        order=tuple(order),
+        stuck=frozenset(n for n, d in waiting.items() if d > 0),
+        rank=MappingProxyType(rank),
+        producer_counts=tuple(counts[n] for n in order),
+        consumer_ranks=tuple(
+            tuple(rank[c] for c in consumers.get(n, ()) if c in rank) for n in order
+        ),
+    )
 
 
 def topological_order(graph: WorkflowGraph) -> list[str]:
@@ -329,21 +359,12 @@ def topological_order(graph: WorkflowGraph) -> list[str]:
     for e in graph.edges:
         if e.producer not in graph._nodes or e.consumer not in graph._nodes:
             raise UnknownNodeError(f"edge endpoint missing from graph: {e}")
-    indegree = _indegrees(graph)
-    ready = [n for n, d in indegree.items() if d == 0]
-    heapq.heapify(ready)
-    order: list[str] = []
-    while ready:
-        n = heapq.heappop(ready)
-        order.append(n)
-        for c in graph._consumers.get(n, ()):
-            indegree[c] -= 1
-            if indegree[c] == 0:
-                heapq.heappush(ready, c)
-    if len(order) != len(indegree):
-        stuck = sorted(n for n, d in indegree.items() if d > 0)
-        raise CycleError("graph has no topological order; cycle among " + ", ".join(stuck))
-    return order
+    kahn = graph.kahn_pass()
+    if kahn.stuck:
+        raise CycleError(
+            "graph has no topological order; cycle among " + ", ".join(sorted(kahn.stuck))
+        )
+    return list(kahn.order)
 
 
 def ready_set(graph: WorkflowGraph, completed: Iterable[str]) -> frozenset[str]:

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
-from dagline.errors import DuplicatePortError
+from dagline.errors import DuplicatePortError, IntegrityError
 
 if TYPE_CHECKING:
     from dagline.graph import ContextBinding, NodeSpec
@@ -170,6 +170,31 @@ def compute_execution_identity(
     object.__setattr__(identity, "spec_hash", spec_hash)
     object.__setattr__(identity, "input_hash", input_hash)
     object.__setattr__(identity, "predecessors", preds)
+    return identity
+
+
+def identity_to_doc(identity: ExecutionIdentity) -> dict:
+    """The identity's document, as embedded in ledger entries, sidecars and reports."""
+    return {
+        "inputs": identity.input_hash.hex,
+        "preds": {port: h.hex for port, h in identity.predecessors.items()},
+        "spec": identity.spec_hash.hex,
+        "value": identity.value.hex,
+    }
+
+
+def identity_from_doc(doc: Mapping[str, Any]) -> ExecutionIdentity:
+    """Decode an identity document, checking its stored value against its parts."""
+    identity = compute_execution_identity(
+        spec_hash=ContentHash.from_hex(doc["spec"]),
+        input_hash=ContentHash.from_hex(doc["inputs"]),
+        predecessors={p: ContentHash.from_hex(h) for p, h in doc["preds"].items()},
+    )
+    if identity.value.hex != doc["value"]:
+        raise IntegrityError(
+            "execution identity fails self-verification: "
+            f"stored {str(doc['value'])[:12]}, recomputed {identity.value.hex[:12]}"
+        )
     return identity
 
 

@@ -7,12 +7,18 @@ is proof the prior result still applies, so the artifact is restored instead
 of recomputed. Edits move identities, and only the edited node's descendants
 can see the difference, which is what scopes recomputation.
 
-Ready nodes may execute concurrently; workers receive fully resolved state
-and share nothing mutable, so published artifacts are schedule-independent.
+One driver schedules every run from a ready queue of nodes whose producers
+have all published, with three pop policies: the least topological rank,
+executed inline (the default, exactly ``topological_order``); a seeded
+random choice (``schedule_rng``); or the least rank into a thread pool
+(``workers > 1``). Replays and pins release their consumers at once.
+Workers receive fully resolved state and share nothing mutable, so
+published artifacts are schedule-independent.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 import time
 import uuid
@@ -52,6 +58,8 @@ from dagline.identity import (
     compute_execution_identity,
     compute_input_hash,
     hash_content,
+    identity_from_doc,
+    identity_to_doc,
 )
 from dagline.store import (
     CONTEXT_INPUT,
@@ -60,6 +68,8 @@ from dagline.store import (
     ExecutionRecord,
     ExecutionStats,
     InputRef,
+    stats_from_doc,
+    stats_to_doc,
 )
 
 FULL = "full"
@@ -149,12 +159,7 @@ def report_to_doc(report: RunReport) -> dict:
             {
                 "action": d.action,
                 "artifact": d.artifact_id.hex,
-                "identity": {
-                    "inputs": d.identity.input_hash.hex,
-                    "preds": {p: h.hex for p, h in d.identity.predecessors.items()},
-                    "spec": d.identity.spec_hash.hex,
-                    "value": d.identity.value.hex,
-                },
+                "identity": identity_to_doc(d.identity),
                 "node_id": d.node_id,
                 "reason": d.reason,
             }
@@ -165,76 +170,72 @@ def report_to_doc(report: RunReport) -> dict:
         "final_artifacts": {n: h.hex for n, h in report.final_artifacts.items()},
         "mode": report.mode,
         "run_id": report.run_id,
-        "totals": {
-            "elapsed": report.totals.elapsed,
-            "input_chars": report.totals.input_chars,
-            "output_chars": report.totals.output_chars,
-            "synthesis_calls": report.totals.synthesis_calls,
-        },
+        "totals": stats_to_doc(report.totals),
     }
 
 
 def report_from_doc(doc: dict) -> RunReport:
-    decisions = []
-    for d in doc["decisions"]:
-        ident = d["identity"]
-        decisions.append(NodeDecision(
+    decisions = tuple(
+        NodeDecision(
             node_id=d["node_id"],
-            identity=compute_execution_identity(
-                spec_hash=ContentHash.from_hex(ident["spec"]),
-                input_hash=ContentHash.from_hex(ident["inputs"]),
-                predecessors={
-                    p: ContentHash.from_hex(h) for p, h in ident["preds"].items()
-                },
-            ),
+            identity=identity_from_doc(d["identity"]),
             action=d["action"],
             reason=d["reason"],
             artifact_id=ContentHash.from_hex(d["artifact"]),
-        ))
-    totals = doc["totals"]
+        )
+        for d in doc["decisions"]
+    )
     return RunReport(
         run_id=doc["run_id"],
         mode=doc["mode"],
-        decisions=tuple(decisions),
+        decisions=decisions,
         final_artifacts={
             n: ContentHash.from_hex(h) for n, h in doc["final_artifacts"].items()
         },
-        totals=ExecutionStats(
-            input_chars=totals["input_chars"],
-            output_chars=totals["output_chars"],
-            synthesis_calls=totals["synthesis_calls"],
-            elapsed=totals["elapsed"],
-        ),
+        totals=stats_from_doc(doc["totals"]),
         elapsed=doc["elapsed"],
         failed_node=doc.get("failed_node"),
     )
 
 
-def resolve_local_state(
+def _resolve_ports(
     workspace: Workspace, node_id: str, published: Mapping[str, ContentHash]
-) -> ResolvedLocalState:
-    """Materialize exactly what one node may see: its declared ports, nothing else."""
+) -> tuple[list[ContextBinding], dict[str, str]]:
+    """A node's context bindings, sorted by port, and each dependency port's producer.
+
+    Raises if a context port is unbound or a producer has not published yet.
+    """
     spec = workspace.graph.node(node_id)
-    context_entries = []
+    bindings = []
     for port in spec.context_ports:
         binding = workspace.context.get((node_id, port.name))
         if binding is None:
-            raise MissingContextError(
-                f"no context bound for {node_id}:{port.name}"
-            )
-        context_entries.append(binding)
+            raise MissingContextError(f"no context bound for {node_id}:{port.name}")
+        bindings.append(binding)
+    bindings.sort(key=lambda b: b.port)
     producers = {e.port: e.producer for e in workspace.graph.edges_into(node_id)}
-    dependency_artifacts = {}
+    dependencies = {}
     for port in spec.dependency_ports:
         producer = producers.get(port.name)
         if producer is None or producer not in published:
             raise MissingDependencyError(
                 f"dependency port {node_id}:{port.name} has no published producer"
             )
-        dependency_artifacts[port.name] = workspace.store.get_artifact(published[producer])
+        dependencies[port.name] = producer
+    return bindings, dependencies
+
+
+def resolve_local_state(
+    workspace: Workspace, node_id: str, published: Mapping[str, ContentHash]
+) -> ResolvedLocalState:
+    """Materialize exactly what one node may see: its declared ports, nothing else."""
+    bindings, producers = _resolve_ports(workspace, node_id, published)
     return ResolvedLocalState(
-        context_entries=tuple(sorted(context_entries, key=lambda b: b.port)),
-        dependency_artifacts=dependency_artifacts,
+        context_entries=tuple(bindings),
+        dependency_artifacts={
+            port: workspace.store.get_artifact(published[producer])
+            for port, producer in producers.items()
+        },
     )
 
 
@@ -244,26 +245,11 @@ def node_identity(
     contributions: Mapping[str, ContentHash],
 ) -> ExecutionIdentity:
     """Identity of a node given what each predecessor contributed this run."""
-    spec = workspace.graph.node(node_id)
-    bindings = []
-    for port in spec.context_ports:
-        binding = workspace.context.get((node_id, port.name))
-        if binding is None:
-            raise MissingContextError(f"no context bound for {node_id}:{port.name}")
-        bindings.append(binding)
-    producers = {e.port: e.producer for e in workspace.graph.edges_into(node_id)}
-    preds = {}
-    for port in spec.dependency_ports:
-        producer = producers.get(port.name)
-        if producer is None or producer not in contributions:
-            raise MissingDependencyError(
-                f"predecessor for {node_id}:{port.name} is undecided"
-            )
-        preds[port.name] = contributions[producer]
+    bindings, producers = _resolve_ports(workspace, node_id, contributions)
     return compute_execution_identity(
         spec_hash=workspace.graph.spec_hash(node_id),
         input_hash=compute_input_hash(bindings),
-        predecessors=preds,
+        predecessors={port: contributions[p] for port, p in producers.items()},
     )
 
 
@@ -318,7 +304,11 @@ def apply_edit(workspace: Workspace, edit: EditEvent) -> tuple[Workspace, frozen
 
 
 class _RunState:
-    """Mutable bookkeeping for one run; touched only by the driving thread."""
+    """Mutable bookkeeping for one run; touched only by the driving thread.
+
+    ``ready`` holds the ranks, into the graph's topological order, of the
+    nodes whose producers have all published; it is a heap.
+    """
 
     def __init__(self, workspace: Workspace, mode: str) -> None:
         self.workspace = workspace
@@ -327,11 +317,19 @@ class _RunState:
         self.contributions: dict[str, ContentHash] = {}
         self.decisions: dict[str, NodeDecision] = {}
         self.totals = ExecutionStats()
+        self._kahn = workspace.graph.kahn_pass()
+        self._waiting = list(self._kahn.producer_counts)
+        self.ready = [r for r, count in enumerate(self._waiting) if count == 0]
 
-    def preds_ready(self, node_id: str) -> bool:
-        return all(
-            p in self.published for p in self.workspace.graph.predecessors(node_id)
-        )
+    def pop_ready(self, schedule_rng: random.Random | None) -> str:
+        """Take the least-rank ready node, or a seeded choice among ready ids."""
+        order = self._kahn.order
+        if schedule_rng is None:
+            return order[heapq.heappop(self.ready)]
+        rank = schedule_rng.choice(sorted(self.ready, key=order.__getitem__))
+        self.ready.remove(rank)
+        heapq.heapify(self.ready)
+        return order[rank]
 
     def decide(self, node_id: str) -> ExecutionIdentity | None:
         """Settle replay/pin immediately; return the identity if execution is needed."""
@@ -356,8 +354,10 @@ class _RunState:
             record = workspace.store.lookup_by_identity(identity)
             if record is not None:
                 workspace.store.get_artifact(record.canonical_artifact)  # integrity
+                # The ledger's identity equals the one just computed; keeping it
+                # frees the new one at once, so a hit leaves only its decision.
                 self._finish(node_id, NodeDecision(
-                    node_id=node_id, identity=identity, action=REPLAYED,
+                    node_id=node_id, identity=record.identity, action=REPLAYED,
                     reason=IDENTITY_HIT, artifact_id=record.canonical_artifact,
                 ))
                 return None
@@ -376,14 +376,6 @@ class _RunState:
         canonical_id = workspace.store.put_artifact(
             content, content_type=content_type, producer=node_id, produced_under=identity
         )
-        candidate_ids = [canonical_id]
-        for extra_content, extra_type in result.candidates:
-            extra_id = workspace.store.put_artifact(
-                extra_content, content_type=extra_type,
-                producer=node_id, produced_under=identity,
-            )
-            if extra_id.hex != canonical_id.hex:
-                candidate_ids.append(extra_id)
 
         if workspace.registry.is_deterministic(spec.executor_kind):
             surface: dict[str, InputRef] = {}
@@ -397,7 +389,7 @@ class _RunState:
                 identity=identity,
                 node_id=node_id,
                 canonical_artifact=canonical_id,
-                candidate_artifacts=tuple(candidate_ids),
+                candidate_artifacts=(canonical_id,),
                 input_surface=surface,
                 stats=result.stats,
             ))
@@ -426,6 +418,11 @@ class _RunState:
         self.decisions[node_id] = decision
         self.published[node_id] = decision.artifact_id
         self.contributions[node_id] = decision.contribution
+        waiting = self._waiting
+        for consumer in self._kahn.consumer_ranks[self._kahn.rank[node_id]]:
+            waiting[consumer] -= 1
+            if waiting[consumer] == 0:
+                heapq.heappush(self.ready, consumer)
 
 
 def diverging_component(prior: ExecutionIdentity, current: ExecutionIdentity) -> str:
@@ -456,9 +453,9 @@ def run(
     ``replay`` restores ledger hits; ``full`` re-executes everything (the
     ledger then re-verifies determinism via idempotent re-records). With
     ``workers > 1`` ready nodes execute concurrently; ``schedule_rng``
-    randomizes the sequential processing order instead. Any schedule
-    publishes identical artifacts and the decision list is always reported
-    in topological order.
+    randomizes the processing order instead. Any schedule publishes
+    identical artifacts and the decision list is always reported in
+    topological order.
     """
     if mode not in (FULL, REPLAY):
         raise ValueError(f"unknown run mode {mode!r}")
@@ -477,10 +474,7 @@ def run(
     started = time.perf_counter()
 
     try:
-        if workers > 1:
-            _drive_parallel(state, order, workers)
-        else:
-            _drive_sequential(state, order, schedule_rng)
+        _drive(state, workers, schedule_rng)
     except ExecutorFailureError as exc:
         elapsed = time.perf_counter() - started
         partial = RunReport(
@@ -511,63 +505,40 @@ def run(
     return report
 
 
-def _process(state: _RunState, node_id: str) -> None:
-    identity = state.decide(node_id)
-    if identity is None:
-        return
-    local = resolve_local_state(state.workspace, node_id, state.published)
-    spec = state.workspace.graph.node(node_id)
-    result = execute(spec, local, state.workspace.registry)
-    state.finalize(node_id, identity, local, result)
+def _drive(state: _RunState, workers: int, schedule_rng: random.Random | None) -> None:
+    """Decide every ready node; execute misses inline or, with workers, in a pool.
 
-
-def _drive_sequential(
-    state: _RunState, order: list[str], schedule_rng: random.Random | None
-) -> None:
-    if schedule_rng is None:
-        for node_id in order:
-            _process(state, node_id)
-        return
-    pending = set(order)
-    while pending:
-        ready = sorted(n for n in pending if state.preds_ready(n))
-        node_id = schedule_rng.choice(ready)
-        _process(state, node_id)
-        pending.remove(node_id)
-
-
-def _drive_parallel(state: _RunState, order: list[str], workers: int) -> None:
+    Finished futures are finalized in node-id order, so one batch of
+    completions always publishes in the same sequence.
+    """
     workspace = state.workspace
-    pending = set(order)
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     in_flight: dict[Future, tuple[str, ExecutionIdentity, ResolvedLocalState]] = {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        try:
-            while pending or in_flight:
-                scheduled = True
-                while scheduled:
-                    scheduled = False
-                    for node_id in [n for n in order if n in pending]:
-                        if not state.preds_ready(node_id):
-                            continue
-                        pending.remove(node_id)
-                        identity = state.decide(node_id)
-                        if identity is None:
-                            scheduled = True  # may unblock consumers immediately
-                            continue
-                        local = resolve_local_state(workspace, node_id, state.published)
-                        spec = workspace.graph.node(node_id)
-                        future = pool.submit(execute, spec, local, workspace.registry)
-                        in_flight[future] = (node_id, identity, local)
-                if not in_flight:
-                    continue
+    try:
+        while state.ready or in_flight:
+            while state.ready:
+                node_id = state.pop_ready(schedule_rng)
+                identity = state.decide(node_id)
+                if identity is None:
+                    continue  # replayed or pinned; its consumers are ready now
+                local = resolve_local_state(workspace, node_id, state.published)
+                spec = workspace.graph.node(node_id)
+                if pool is None:
+                    result = execute(spec, local, workspace.registry)
+                    state.finalize(node_id, identity, local, result)
+                else:
+                    future = pool.submit(execute, spec, local, workspace.registry)
+                    in_flight[future] = (node_id, identity, local)
+            if in_flight:
                 done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
                 for future in sorted(done, key=lambda f: in_flight[f][0]):
                     node_id, identity, local = in_flight.pop(future)
                     state.finalize(node_id, identity, local, future.result())
-        except BaseException:
+    finally:
+        if pool is not None:
             for future in in_flight:
                 future.cancel()
-            raise
+            pool.shutdown()
 
 
 @dataclass(frozen=True, slots=True)

@@ -31,8 +31,9 @@ from dagline.identity import (
     ContentHash,
     ExecutionIdentity,
     canonical_json_bytes,
-    compute_execution_identity,
     hash_content,
+    identity_from_doc,
+    identity_to_doc,
 )
 
 DEPENDENCY_INPUT = "dependency"
@@ -61,6 +62,25 @@ class ExecutionStats:
             synthesis_calls=self.synthesis_calls + other.synthesis_calls,
             elapsed=self.elapsed + other.elapsed,
         )
+
+
+def stats_to_doc(stats: ExecutionStats) -> dict:
+    """The stats document shared by ledger entries (``stats``) and reports (``totals``)."""
+    return {
+        "elapsed": stats.elapsed,
+        "input_chars": stats.input_chars,
+        "output_chars": stats.output_chars,
+        "synthesis_calls": stats.synthesis_calls,
+    }
+
+
+def stats_from_doc(doc: Mapping[str, object]) -> ExecutionStats:
+    return ExecutionStats(
+        input_chars=doc["input_chars"],
+        output_chars=doc["output_chars"],
+        synthesis_calls=doc["synthesis_calls"],
+        elapsed=doc["elapsed"],
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,40 +129,19 @@ def record_to_doc(record: ExecutionRecord) -> dict:
     return {
         "canonical_artifact": record.canonical_artifact.hex,
         "candidate_artifacts": [c.hex for c in record.candidate_artifacts],
-        "identity": {
-            "inputs": record.identity.input_hash.hex,
-            "preds": {p: h.hex for p, h in record.identity.predecessors.items()},
-            "spec": record.identity.spec_hash.hex,
-            "value": record.identity.value.hex,
-        },
+        "identity": identity_to_doc(record.identity),
         "input_surface": {
             port: {"hash": ref.hash.hex, "kind": ref.kind}
             for port, ref in record.input_surface.items()
         },
         "node_id": record.node_id,
-        "stats": {
-            "elapsed": record.stats.elapsed,
-            "input_chars": record.stats.input_chars,
-            "output_chars": record.stats.output_chars,
-            "synthesis_calls": record.stats.synthesis_calls,
-        },
+        "stats": stats_to_doc(record.stats),
     }
 
 
 def record_from_doc(doc: dict) -> ExecutionRecord:
-    ident = doc["identity"]
-    identity = compute_execution_identity(
-        spec_hash=ContentHash.from_hex(ident["spec"]),
-        input_hash=ContentHash.from_hex(ident["inputs"]),
-        predecessors={p: ContentHash.from_hex(h) for p, h in ident["preds"].items()},
-    )
-    if identity.value.hex != ident["value"]:
-        raise IntegrityError(
-            f"ledger entry for {doc.get('node_id')!r} fails identity self-verification"
-        )
-    stats = doc["stats"]
     return ExecutionRecord(
-        identity=identity,
+        identity=identity_from_doc(doc["identity"]),
         node_id=doc["node_id"],
         canonical_artifact=ContentHash.from_hex(doc["canonical_artifact"]),
         candidate_artifacts=tuple(
@@ -152,12 +151,7 @@ def record_from_doc(doc: dict) -> ExecutionRecord:
             port: InputRef(kind=ref["kind"], hash=ContentHash.from_hex(ref["hash"]))
             for port, ref in doc["input_surface"].items()
         },
-        stats=ExecutionStats(
-            input_chars=stats["input_chars"],
-            output_chars=stats["output_chars"],
-            synthesis_calls=stats["synthesis_calls"],
-            elapsed=stats["elapsed"],
-        ),
+        stats=stats_from_doc(doc["stats"]),
     )
 
 
@@ -235,14 +229,7 @@ class BaseStore:
                     "producer": producer,
                     "produced_under": None
                     if produced_under is None
-                    else {
-                        "inputs": produced_under.input_hash.hex,
-                        "preds": {
-                            p: h.hex for p, h in produced_under.predecessors.items()
-                        },
-                        "spec": produced_under.spec_hash.hex,
-                        "value": produced_under.value.hex,
-                    },
+                    else identity_to_doc(produced_under),
                 }
                 self._write_object(artifact_id.hex, content, meta)
         return artifact_id
@@ -251,27 +238,19 @@ class BaseStore:
         """Fetch an artifact, rehashing its bytes as an integrity check.
 
         The rehash is ArtifactRecord's own check, so the bytes are hashed once.
+        A ``produced_under`` identity is checked against its parts on decode.
         """
         hex_id = artifact_id.hex
         if not self._has_object(hex_id):
             raise ArtifactNotFoundError(f"no artifact {hex_id}")
         content, meta = self._read_object(hex_id)
-        produced_under = None
         raw = meta.get("produced_under")
-        if raw is not None:
-            produced_under = compute_execution_identity(
-                spec_hash=ContentHash.from_hex(raw["spec"]),
-                input_hash=ContentHash.from_hex(raw["inputs"]),
-                predecessors={
-                    p: ContentHash.from_hex(h) for p, h in raw["preds"].items()
-                },
-            )
         return ArtifactRecord(
             artifact_id=artifact_id,
             content=content,
             content_type=meta["content_type"],
             producer=meta["producer"],
-            produced_under=produced_under,
+            produced_under=None if raw is None else identity_from_doc(raw),
             created_at=meta.get("created_at", 0.0),
         )
 

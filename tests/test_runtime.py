@@ -478,3 +478,11 @@ class TestExplain:
             info = explain(edited.store, report, "d")
             assert info.divergence == f"predecessor:{port}"
             assert report.decision_for("d").reason == "identity-miss:predecessor"
+
+
+def test_report_with_tampered_identity_value_fails_decode():
+    workspace = chain_workspace()
+    doc = report_to_doc(run(workspace, FULL))
+    doc["decisions"][1]["identity"]["value"] = "00" * 32
+    with pytest.raises(IntegrityError):
+        report_from_doc(doc)

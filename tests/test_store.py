@@ -215,3 +215,15 @@ def test_concurrent_identical_and_distinct_writes(store):
     assert errors == []
     assert store.artifact_count() == 1 + 4 + 1  # shared + 4 privates + record output
     assert len(list(store.records())) == 1
+
+
+def test_tampered_sidecar_identity_fails_get_artifact(tmp_path):
+    store = FileStore(tmp_path / "store")
+    record = record_for(store, b"sidecar", b"sidecar output")
+    hex_id = record.canonical_artifact.hex
+    sidecar = store.root / "objects" / hex_id[:2] / (hex_id[2:] + ".json")
+    meta = json.loads(sidecar.read_bytes())
+    meta["produced_under"]["value"] = hash_content(b"forged value").hex
+    sidecar.write_bytes(json.dumps(meta).encode())
+    with pytest.raises(IntegrityError):
+        store.get_artifact(record.canonical_artifact)
