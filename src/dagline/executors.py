@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from dagline.errors import (
@@ -58,13 +58,11 @@ class ResolvedLocalState:
         surface.sort(key=lambda item: item[0])
         return surface
 
-    def input_chars(self) -> int:
-        return sum(len(content) for _, content in self.input_surface())
-
 
 @dataclass(frozen=True, slots=True)
 class NodeResult:
-    """What one execution produced: its canonical output and the work it took."""
+    """What one execution produced: its canonical output and, once ``execute``
+    has measured it, the work it took."""
 
     canonical_output: tuple[bytes, str]
     stats: ExecutionStats = ExecutionStats()
@@ -167,14 +165,7 @@ def synthesize(spec: NodeSpec, state: ResolvedLocalState) -> NodeResult:
     lines.append("body:")
     lines.extend(f"note: {marker}" for marker in body)
     output = ("\n".join(lines) + "\n").encode("utf-8")
-    return NodeResult(
-        canonical_output=(output, spec.output_type),
-        stats=ExecutionStats(
-            input_chars=state.input_chars(),
-            output_chars=len(output),
-            synthesis_calls=1,
-        ),
-    )
+    return NodeResult(canonical_output=(output, spec.output_type))
 
 
 def passthrough(spec: NodeSpec, state: ResolvedLocalState) -> NodeResult:
@@ -186,10 +177,7 @@ def passthrough(spec: NodeSpec, state: ResolvedLocalState) -> NodeResult:
             f"got {len(surface)}"
         )
     _, content = surface[0]
-    return NodeResult(
-        canonical_output=(content, spec.output_type),
-        stats=ExecutionStats(input_chars=len(content), output_chars=len(content)),
-    )
+    return NodeResult(canonical_output=(content, spec.output_type))
 
 
 def default_registry() -> ExecutorRegistry:
@@ -235,9 +223,9 @@ def execute(
             f"contract requires {spec.output_type!r}"
         )
     stats = ExecutionStats(
-        input_chars=state.input_chars(),
+        input_chars=sum(len(content) for _, content in state.input_surface()),
         output_chars=len(result.canonical_output[0]),
         synthesis_calls=1 if spec.executor_kind == SYNTHESIS else 0,
         elapsed=elapsed,
     )
-    return replace(result, stats=stats)
+    return NodeResult(result.canonical_output, stats)

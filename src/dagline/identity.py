@@ -89,13 +89,16 @@ def hash_spec(spec: NodeSpec) -> ContentHash:
     return hash_content(canonical_bytes(spec))
 
 
+_EMPTY_INPUT_HASH = hash_content(canonical_json_bytes([]))
+
+
 def compute_input_hash(context: Iterable[ContextBinding]) -> ContentHash:
     """Hash a node's resolved context surface.
 
     Bindings are reduced to ``(port, content-type, content-hash)`` triples and
     sorted by port name, so the result is independent of supply order. Hashing
     per-binding content hashes (not concatenated raw bytes) keeps boundaries
-    unambiguous.
+    unambiguous. The empty surface, ``[]``, is hashed once at import.
     """
     triples: list[list[str]] = []
     seen: set[str] = set()
@@ -106,6 +109,8 @@ def compute_input_hash(context: Iterable[ContextBinding]) -> ContentHash:
         triples.append(
             [binding.port, binding.content_type, hash_content(binding.content).hex]
         )
+    if not triples:
+        return _EMPTY_INPUT_HASH
     triples.sort(key=lambda t: t[0])
     return hash_content(canonical_json_bytes(triples))
 

@@ -7,8 +7,12 @@ same identity is rejected as a determinism violation.
 
 Two backends share the same semantics: ``FileStore`` persists to a directory
 (``objects/``, ``executions/``, ``runs/``, ``nodes/``) and ``MemoryStore``
-keeps everything in dicts for tests and experiments. Writes are serialized
-by an internal lock; concurrent identical writes are idempotent.
+keeps everything in dicts for tests and experiments. ``BaseStore`` holds the
+one ledger index, identity hex to ``ExecutionRecord``, and passes artifact
+metadata as values (``produced_under`` is an ``ExecutionIdentity``); only
+``FileStore`` encodes and decodes the docs/FORMATS.md documents, the ledger
+entry and the artifact sidecar. Writes are serialized by an internal lock;
+concurrent identical writes are idempotent.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -125,20 +129,6 @@ class ExecutionRecord:
         object.__setattr__(self, "input_surface", dict(self.input_surface))
 
 
-def record_to_doc(record: ExecutionRecord) -> dict:
-    return {
-        "canonical_artifact": record.canonical_artifact.hex,
-        "candidate_artifacts": [c.hex for c in record.candidate_artifacts],
-        "identity": identity_to_doc(record.identity),
-        "input_surface": {
-            port: {"hash": ref.hash.hex, "kind": ref.kind}
-            for port, ref in record.input_surface.items()
-        },
-        "node_id": record.node_id,
-        "stats": stats_to_doc(record.stats),
-    }
-
-
 def record_from_doc(doc: dict) -> ExecutionRecord:
     return ExecutionRecord(
         identity=identity_from_doc(doc["identity"]),
@@ -157,22 +147,31 @@ def record_from_doc(doc: dict) -> ExecutionRecord:
 
 def record_bytes(record: ExecutionRecord) -> bytes:
     """Canonical ledger-entry encoding; parse + re-serialize is bit-exact."""
-    return canonical_json_bytes(record_to_doc(record)) + b"\n"
-
-
-def _deterministic_fields(record: ExecutionRecord) -> bytes:
-    """The portion of a record that determinism constrains (stats excluded:
-    elapsed is a measurement and may vary between identical reruns)."""
-    doc = record_to_doc(record)
-    del doc["stats"]
-    return canonical_json_bytes(doc)
+    doc = {
+        "canonical_artifact": record.canonical_artifact.hex,
+        "candidate_artifacts": [c.hex for c in record.candidate_artifacts],
+        "identity": identity_to_doc(record.identity),
+        "input_surface": {
+            port: {"hash": ref.hash.hex, "kind": ref.kind}
+            for port, ref in record.input_surface.items()
+        },
+        "node_id": record.node_id,
+        "stats": stats_to_doc(record.stats),
+    }
+    return canonical_json_bytes(doc) + b"\n"
 
 
 class BaseStore:
-    """Semantics shared by both backends; subclasses provide the primitives."""
+    """Semantics shared by both backends; subclasses provide the primitives.
+
+    The ledger index ``_records`` lives here for both backends. Artifact
+    metadata travels as ``{"content_type", "created_at", "producer",
+    "produced_under"}`` with the identity object (or ``None``) as its value.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
+        self._records: dict[str, ExecutionRecord] = {}
 
     # -- primitives supplied by subclasses ---------------------------------
     def _has_object(self, hex_id: str) -> bool:
@@ -182,19 +181,14 @@ class BaseStore:
         raise NotImplementedError
 
     def _read_object(self, hex_id: str) -> tuple[bytes, dict]:
+        """The bytes and metadata; ``ArtifactNotFoundError`` if absent."""
         raise NotImplementedError
 
     def _object_ids(self) -> list[str]:
         raise NotImplementedError
 
-    def _get_record(self, hex_identity: str) -> ExecutionRecord | None:
-        raise NotImplementedError
-
     def _put_record(self, hex_identity: str, record: ExecutionRecord) -> None:
-        raise NotImplementedError
-
-    def _record_ids(self) -> list[str]:
-        raise NotImplementedError
+        self._records[hex_identity] = record
 
     def _node_history(self, node_id: str) -> list[str]:
         raise NotImplementedError
@@ -227,9 +221,7 @@ class BaseStore:
                     "content_type": content_type,
                     "created_at": time.time(),
                     "producer": producer,
-                    "produced_under": None
-                    if produced_under is None
-                    else identity_to_doc(produced_under),
+                    "produced_under": produced_under,
                 }
                 self._write_object(artifact_id.hex, content, meta)
         return artifact_id
@@ -238,21 +230,9 @@ class BaseStore:
         """Fetch an artifact, rehashing its bytes as an integrity check.
 
         The rehash is ArtifactRecord's own check, so the bytes are hashed once.
-        A ``produced_under`` identity is checked against its parts on decode.
         """
-        hex_id = artifact_id.hex
-        if not self._has_object(hex_id):
-            raise ArtifactNotFoundError(f"no artifact {hex_id}")
-        content, meta = self._read_object(hex_id)
-        raw = meta.get("produced_under")
-        return ArtifactRecord(
-            artifact_id=artifact_id,
-            content=content,
-            content_type=meta["content_type"],
-            producer=meta["producer"],
-            produced_under=None if raw is None else identity_from_doc(raw),
-            created_at=meta.get("created_at", 0.0),
-        )
+        content, meta = self._read_object(artifact_id.hex)
+        return ArtifactRecord(artifact_id=artifact_id, content=content, **meta)
 
     def has_artifact(self, artifact_id: ContentHash) -> bool:
         return self._has_object(artifact_id.hex)
@@ -266,7 +246,8 @@ class BaseStore:
         Identical re-records are accepted and keep the original entry (volatile
         stats such as elapsed are not part of the determinism comparison).
         """
-        for artifact in (record.canonical_artifact, *record.candidate_artifacts):
+        artifacts = dict.fromkeys((record.canonical_artifact, *record.candidate_artifacts))
+        for artifact in artifacts:
             if not self._has_object(artifact.hex):
                 raise ArtifactNotFoundError(
                     f"record for node {record.node_id!r} references missing "
@@ -274,9 +255,9 @@ class BaseStore:
                 )
         hex_identity = record.identity.value.hex
         with self._lock:
-            existing = self._get_record(hex_identity)
+            existing = self._records.get(hex_identity)
             if existing is not None:
-                if _deterministic_fields(existing) != _deterministic_fields(record):
+                if replace(existing, stats=record.stats) != record:
                     raise IdentityConflictError(
                         f"identity {hex_identity[:12]} already recorded with a "
                         f"different result for node {record.node_id!r}; "
@@ -290,14 +271,12 @@ class BaseStore:
         self, identity: ExecutionIdentity | ContentHash
     ) -> ExecutionRecord | None:
         value = identity.value if isinstance(identity, ExecutionIdentity) else identity
-        return self._get_record(value.hex)
+        return self._records.get(value.hex)
 
     def records(self) -> Iterator[ExecutionRecord]:
         """All ledger entries, ordered by identity hex for determinism."""
-        for hex_identity in sorted(self._record_ids()):
-            record = self._get_record(hex_identity)
-            if record is not None:
-                yield record
+        for hex_identity in sorted(self._records):
+            yield self._records[hex_identity]
 
     def node_history(self, node_id: str) -> list[ContentHash]:
         """Identities recorded for a node, oldest first."""
@@ -305,9 +284,7 @@ class BaseStore:
 
     def latest_record_for_node(self, node_id: str) -> ExecutionRecord | None:
         history = self._node_history(node_id)
-        if not history:
-            return None
-        return self._get_record(history[-1])
+        return self._records.get(history[-1]) if history else None
 
     def records_for_artifact(self, artifact_id: ContentHash) -> list[ExecutionRecord]:
         return [
@@ -332,7 +309,6 @@ class MemoryStore(BaseStore):
     def __init__(self) -> None:
         super().__init__()
         self._objects: dict[str, tuple[bytes, dict]] = {}
-        self._records: dict[str, ExecutionRecord] = {}
         self._history: dict[str, list[str]] = {}
         self._reports: dict[str, bytes] = {}
 
@@ -343,19 +319,13 @@ class MemoryStore(BaseStore):
         self._objects[hex_id] = (content, meta)
 
     def _read_object(self, hex_id: str) -> tuple[bytes, dict]:
-        return self._objects[hex_id]
+        try:
+            return self._objects[hex_id]
+        except KeyError:
+            raise ArtifactNotFoundError(f"no artifact {hex_id}") from None
 
     def _object_ids(self) -> list[str]:
         return list(self._objects)
-
-    def _get_record(self, hex_identity: str) -> ExecutionRecord | None:
-        return self._records.get(hex_identity)
-
-    def _put_record(self, hex_identity: str, record: ExecutionRecord) -> None:
-        self._records[hex_identity] = record
-
-    def _record_ids(self) -> list[str]:
-        return list(self._records)
 
     def _node_history(self, node_id: str) -> list[str]:
         return list(self._history.get(node_id, []))
@@ -386,8 +356,10 @@ class FileStore(BaseStore):
         nodes/<node id>                 newline-separated identity history
         runs/<run id>/report            canonical-JSON run report
 
-    The ledger is append-only; the in-memory index is rebuilt from disk on
-    open, so a fresh handle sees exactly what was recorded.
+    The ledger is append-only; on open every entry is decoded, verified and
+    put in BaseStore's index, so a fresh handle sees exactly what was
+    recorded. This class alone encodes and decodes the ledger entries and
+    the sidecars; the rest of the store sees values.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -395,13 +367,11 @@ class FileStore(BaseStore):
         self.root = Path(root)
         for sub in ("objects", "executions", "nodes", "runs"):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
-        self._index: dict[str, ExecutionRecord] = {}
-        self._load_ledger()
-
-    def _load_ledger(self) -> None:
-        for path in sorted((self.root / "executions").iterdir()):
-            if path.is_file():
-                self._index[path.name] = record_from_doc(json.loads(path.read_bytes()))
+        with os.scandir(self.root / "executions") as entries:
+            ledger = sorted((e.name, e.path) for e in entries if e.is_file())
+        for name, path in ledger:
+            with open(path, "rb") as fh:
+                self._records[name] = record_from_doc(json.loads(fh.read()))
 
     def _object_path(self, hex_id: str) -> Path:
         return self.root / "objects" / hex_id[:2] / hex_id[2:]
@@ -412,18 +382,29 @@ class FileStore(BaseStore):
     def _write_object(self, hex_id: str, content: bytes, meta: dict) -> None:
         path = self._object_path(hex_id)
         path.parent.mkdir(parents=True, exist_ok=True)
+        identity = meta["produced_under"]
+        sidecar = dict(
+            meta, produced_under=None if identity is None else identity_to_doc(identity)
+        )
         _atomic_write(path, content)
         _atomic_write(
-            path.with_name(path.name + ".json"), canonical_json_bytes(meta) + b"\n"
+            path.with_name(path.name + ".json"), canonical_json_bytes(sidecar) + b"\n"
         )
 
     def _read_object(self, hex_id: str) -> tuple[bytes, dict]:
         path = self._object_path(hex_id)
         try:
             content = path.read_bytes()
+        except FileNotFoundError:
+            raise ArtifactNotFoundError(f"no artifact {hex_id}") from None
+        except OSError as exc:
+            raise StorageError(f"cannot read artifact {hex_id[:12]}: {exc}") from exc
+        try:
             meta = json.loads(path.with_name(path.name + ".json").read_bytes())
         except OSError as exc:
             raise StorageError(f"cannot read artifact {hex_id[:12]}: {exc}") from exc
+        doc = meta["produced_under"]
+        meta["produced_under"] = None if doc is None else identity_from_doc(doc)
         return content, meta
 
     def _object_ids(self) -> list[str]:
@@ -436,15 +417,9 @@ class FileStore(BaseStore):
                     ids.append(shard.name + path.name)
         return ids
 
-    def _get_record(self, hex_identity: str) -> ExecutionRecord | None:
-        return self._index.get(hex_identity)
-
     def _put_record(self, hex_identity: str, record: ExecutionRecord) -> None:
         _atomic_write(self.root / "executions" / hex_identity, record_bytes(record))
-        self._index[hex_identity] = record
-
-    def _record_ids(self) -> list[str]:
-        return list(self._index)
+        super()._put_record(hex_identity, record)
 
     def _node_history(self, node_id: str) -> list[str]:
         path = self.root / "nodes" / node_id

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 
@@ -227,3 +228,39 @@ def test_tampered_sidecar_identity_fails_get_artifact(tmp_path):
     sidecar.write_bytes(json.dumps(meta).encode())
     with pytest.raises(IntegrityError):
         store.get_artifact(record.canonical_artifact)
+
+
+def _differing(store, record, field):
+    """``record`` with one determinism-constrained field changed."""
+    other = store.put_artifact(b"another output", "text", "node", record.identity)
+    port, ref = next(iter(record.input_surface.items()))
+    changes = {
+        "canonical_artifact": {"canonical_artifact": other},
+        "candidate_artifacts": {"candidate_artifacts": (record.canonical_artifact, other)},
+        "input_surface_hash": {
+            "input_surface": {port: InputRef(ref.kind, hash_content(b"moved"))}
+        },
+        "input_surface_kind": {"input_surface": {port: InputRef("dependency", ref.hash)}},
+    }
+    return dataclasses.replace(record, **changes[field])
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["canonical_artifact", "candidate_artifacts", "input_surface_hash", "input_surface_kind"],
+)
+def test_rerecord_with_a_different_result_conflicts(store, field):
+    record = record_for(store, b"values", b"value output")
+    store.record_execution(record)
+    with pytest.raises(IdentityConflictError):
+        store.record_execution(_differing(store, record, field))
+    assert [record_bytes(r) for r in store.records()] == [record_bytes(record)]
+
+
+def test_rerecord_differing_only_in_stats_is_accepted(store):
+    record = record_for(store, b"stats", b"stats output")
+    store.record_execution(record)
+    other_stats = ExecutionStats(input_chars=99, output_chars=1, synthesis_calls=0, elapsed=5.0)
+    store.record_execution(dataclasses.replace(record, stats=other_stats))
+    assert [record_bytes(r) for r in store.records()] == [record_bytes(record)]
+    assert store.node_history("node") == [record.identity.value]

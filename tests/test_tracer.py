@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -70,3 +71,20 @@ def test_install_traces_the_run_path_and_uninstall_restores(tracing):
     for name in ("runtime.run", "identity.node_identity", "runtime.resolve",
                  "executors.execute", "graph.validate", "graph.topo", "graph.edges_into"):
         assert totals.get(name, {}).get("calls", 0) > 0, name
+
+
+def test_traced_file_store_session_feeds_the_store_counters(tracing, tmp_path):
+    root = tmp_path / "store"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        # Through the module, as the tracer swaps the store classes there.
+        workspace = replace(chain_workspace(), store=dagline.store.FileStore(root))
+        dagline.runtime.run(workspace, FULL)
+        reopened = replace(workspace, store=dagline.store.FileStore(root))
+        dagline.runtime.run(reopened, REPLAY)
+    finally:
+        tracer.uninstall()
+    assert tracer.span_totals().get("store.open", {}).get("calls") == 2
+    for name in ("store.ledger_entries", "store.lookup_calls", "store.report_bytes"):
+        assert tracer.counters[name] > 0, name
