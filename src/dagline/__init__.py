@@ -17,7 +17,6 @@ from dagline.graph import (
     WorkflowGraph,
     ancestors,
     descendants,
-    ready_set,
     topological_order,
     validate_graph,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "node_identity",
     "parse_manifest",
     "passthrough",
-    "ready_set",
     "render_manifest",
     "resolve_local_state",
     "run",

@@ -44,7 +44,7 @@ from dagline.runtime import (
     report_from_doc,
     run,
 )
-from dagline.store import BaseStore, ExecutionRecord, FileStore, _atomic_write
+from dagline.store import CONTEXT_INPUT, BaseStore, ExecutionRecord, FileStore, _atomic_write
 
 try:
     import fcntl
@@ -169,7 +169,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 1 if violations else 0
 
 
-def _load_workspace(args: argparse.Namespace, store: FileStore) -> Workspace:
+def _load_workspace(args: argparse.Namespace, store: FileStore, edit_log: list[dict]) -> Workspace:
+    """The manifest and the context directory, with the store's edit log applied in order."""
     graph, violations = load_manifest(args.manifest)
     violations += validate_graph(graph)
     if violations:
@@ -188,7 +189,13 @@ def _load_workspace(args: argparse.Namespace, store: FileStore) -> Workspace:
                     port.name, path.read_bytes(), port.artifact_type
                 )
     workspace = Workspace(graph=graph, context=context, store=store)
-    return _replay_edit_log(workspace, store)
+    for entry in edit_log:
+        content = store.get_artifact(ContentHash.from_hex(entry["artifact"])).content
+        workspace, _ = apply_edit(workspace, EditEvent(
+            kind=entry["kind"], node_id=entry["node"], port=entry.get("port"),
+            new_content=content, event_id=entry["event_id"],
+        ))
+    return workspace
 
 
 def _edit_log_path(store: FileStore) -> Path:
@@ -202,29 +209,9 @@ def _read_edit_log(store: FileStore) -> list[dict]:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _append_edit_log(store: FileStore, entry: dict) -> None:
-    entries = _read_edit_log(store)
-    entries.append(entry)
-    _atomic_write(_edit_log_path(store), canonical_json_bytes(entries) + b"\n")
-
-
-def _replay_edit_log(workspace: Workspace, store: FileStore) -> Workspace:
-    for entry in _read_edit_log(store):
-        content = store.get_artifact(ContentHash.from_hex(entry["artifact"])).content
-        edit = EditEvent(
-            kind=entry["kind"],
-            node_id=entry["node"],
-            port=entry.get("port"),
-            new_content=content,
-            event_id=entry["event_id"],
-        )
-        workspace, _ = apply_edit(workspace, edit)
-    return workspace
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     store = _open_store(args)
-    workspace = _load_workspace(args, store)
+    workspace = _load_workspace(args, store, _read_edit_log(store))
     try:
         report = run(workspace, args.mode, workers=args.workers)
     except DaglineError as exc:
@@ -249,24 +236,22 @@ def _parse_edit_spec(raw: str, parts: int) -> list[str]:
 
 def _cmd_edit(args: argparse.Namespace) -> int:
     store = _open_store(args)
-    workspace = _load_workspace(args, store)
-    event_id = f"cli-{len(_read_edit_log(store)):06d}"
+    edit_log = _read_edit_log(store)
+    workspace = _load_workspace(args, store, edit_log)
+    event_id = f"cli-{len(edit_log):06d}"
     if args.context_edit:
         node, port, file_name = _parse_edit_spec(args.context_edit, 3)
         content = Path(file_name).read_bytes()
         edit = EditEvent(CONTEXT_EDIT, node, content, port=port, event_id=event_id)
+        _, dirty = apply_edit(workspace, edit)
+        content_type = workspace.graph.node(node).port(port).artifact_type
+        artifact_id = store.put_artifact(content, content_type, node, produced_under=None)
     else:
         node, file_name = _parse_edit_spec(args.artifact_edit, 2)
         content = Path(file_name).read_bytes()
         edit = EditEvent(ARTIFACT_EDIT, node, content, event_id=event_id)
-    _, dirty = apply_edit(workspace, edit)
-    spec = workspace.graph.node(edit.node_id)
-    artifact_id = store.put_artifact(
-        content,
-        content_type=spec.port(edit.port).artifact_type if edit.port else spec.output_type,
-        producer=edit.node_id,
-        produced_under=None,
-    )
+        edited, dirty = apply_edit(workspace, edit)
+        artifact_id = edited.overrides[node]  # stored by apply_edit
     entry = {
         "artifact": artifact_id.hex,
         "event_id": event_id,
@@ -275,7 +260,7 @@ def _cmd_edit(args: argparse.Namespace) -> int:
     }
     if edit.port:
         entry["port"] = edit.port
-    _append_edit_log(store, entry)
+    _atomic_write(_edit_log_path(store), canonical_json_bytes([*edit_log, entry]) + b"\n")
     print(f"edit {event_id} recorded; dirty set:")
     for node_id in sorted(dirty):
         print(f"  {node_id}")
@@ -297,7 +282,7 @@ def _cmd_lineage(args: argparse.Namespace) -> int:
         record = store.latest_record_for_node(args.node)
         if record is None:
             raise DaglineError(f"no execution recorded for node {args.node!r}")
-        _print_lineage(store, record, overrides, depth=0)
+        _print_lineage(store, record, overrides)
     else:
         artifact_id = ContentHash.from_hex(args.artifact)
         records = store.records_for_artifact(artifact_id)
@@ -306,32 +291,51 @@ def _cmd_lineage(args: argparse.Namespace) -> int:
                 print(f"{overrides[args.artifact]} [pinned] {args.artifact[:12]}")
                 return 0
             raise DaglineError(f"no execution produced artifact {args.artifact[:12]}")
-        _print_lineage(store, records[0], overrides, depth=0)
+        _print_lineage(store, records[0], overrides)
     return 0
 
 
 def _print_lineage(
-    store: BaseStore,
-    record: ExecutionRecord,
-    overrides: dict[str, str],
-    depth: int,
-    via: str = "",
+    store: BaseStore, record: ExecutionRecord, overrides: dict[str, str]
 ) -> None:
-    indent = "  " * depth
-    label = f" <-{via}" if via else ""
-    print(f"{indent}{record.node_id}{label} identity={record.identity.value.hex[:12]} "
-          f"artifact={record.canonical_artifact.hex[:12]}")
-    for port, ref in sorted(record.input_surface.items()):
-        if ref.kind == "context":
-            print(f"{indent}  context:{port} {ref.hash.hex[:12]}")
+    """Print the record's inputs depth first, in port order, without recursion.
+
+    A dependency port leads to the record of the identity it contributed. A
+    record is printed in full once; a later visit is one line ending ``(see above)``.
+    """
+    printed: set[str] = set()
+    # A record to expand, with its depth and the port it feeds, or a line to print.
+    stack: list[tuple[ExecutionRecord, int, str] | str] = [(record, 0, "")]
+    while stack:
+        entry = stack.pop()
+        if isinstance(entry, str):
+            print(entry)
             continue
-        upstream = store.records_for_artifact(ref.hash)
-        if upstream:
-            _print_lineage(store, upstream[0], overrides, depth + 1, via=port)
-        elif ref.hash.hex in overrides:
-            print(f"{indent}  {overrides[ref.hash.hex]} <-{port} [pinned] {ref.hash.hex[:12]}")
-        else:
-            print(f"{indent}  <unknown> <-{port} {ref.hash.hex[:12]}")
+        record, depth, via = entry
+        indent = "  " * depth
+        label = f" <-{via}" if via else ""
+        head = (f"{indent}{record.node_id}{label} identity={record.identity.value.hex[:12]} "
+                f"artifact={record.canonical_artifact.hex[:12]}")
+        if record.identity.value.hex in printed:
+            print(head + " (see above)")
+            continue
+        printed.add(record.identity.value.hex)
+        print(head)
+        inputs: list[tuple[ExecutionRecord, int, str] | str] = []
+        for port, ref in sorted(record.input_surface.items()):
+            if ref.kind == CONTEXT_INPUT:
+                inputs.append(f"{indent}  context:{port} {ref.hash.hex[:12]}")
+                continue
+            upstream = store.lookup_by_identity(record.identity.predecessors[port])
+            if upstream is not None:
+                inputs.append((upstream, depth + 1, port))
+            elif ref.hash.hex in overrides:
+                inputs.append(
+                    f"{indent}  {overrides[ref.hash.hex]} <-{port} [pinned] {ref.hash.hex[:12]}"
+                )
+            else:
+                inputs.append(f"{indent}  <unknown> <-{port} {ref.hash.hex[:12]}")
+        stack.extend(reversed(inputs))
 
 
 def _load_report(store: FileStore, run_id: str | None) -> RunReport:

@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from dagline.errors import CycleError, UnknownNodeError
-from dagline.identity import ContentHash, hash_spec
+from dagline.identity import ContentHash, hash_content, hash_spec
 
 if TYPE_CHECKING:
     from dagline.executors import ExecutorRegistry
@@ -78,11 +78,19 @@ class NodeSpec:
 
 @dataclass(frozen=True, slots=True)
 class ContextBinding:
-    """Immutable bytes bound to one context port for the duration of a run."""
+    """Immutable bytes bound to one context port for the duration of a run.
+
+    The bytes are hashed once, here; identities and ledger entries read
+    ``content_hash``.
+    """
 
     port: str
     content: bytes
     content_type: str = "text"
+    content_hash: ContentHash = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "content_hash", hash_content(self.content))
 
 
 CONTEXT_EDIT = "context-edit"
@@ -365,21 +373,6 @@ def topological_order(graph: WorkflowGraph) -> list[str]:
             "graph has no topological order; cycle among " + ", ".join(sorted(kahn.stuck))
         )
     return list(kahn.order)
-
-
-def ready_set(graph: WorkflowGraph, completed: Iterable[str]) -> frozenset[str]:
-    """Non-completed nodes whose dependency producers have all completed."""
-    done = set(completed)
-    for n in done:
-        if n not in graph.nodes:
-            raise UnknownNodeError(f"completed set names unknown node {n!r}")
-    ready = set()
-    for node_id in graph.nodes:
-        if node_id in done:
-            continue
-        if graph.predecessors(node_id) <= done:
-            ready.add(node_id)
-    return frozenset(ready)
 
 
 def descendants(graph: WorkflowGraph, roots: Iterable[str]) -> frozenset[str]:

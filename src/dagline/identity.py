@@ -26,7 +26,6 @@ if TYPE_CHECKING:
     from dagline.graph import ContextBinding, NodeSpec
 
 DIGEST_SIZE = 32
-ALGORITHM = "sha-256"
 
 
 def canonical_json_bytes(value: Any) -> bytes:
@@ -41,15 +40,12 @@ class ContentHash:
     """A SHA-256 digest rendered lowercase-hex wherever it leaves the process."""
 
     digest: bytes
-    algorithm: str = ALGORITHM
 
     def __post_init__(self) -> None:
         if len(self.digest) != DIGEST_SIZE:
             raise ValueError(
                 f"digest must be exactly {DIGEST_SIZE} bytes, got {len(self.digest)}"
             )
-        if self.algorithm != ALGORITHM:
-            raise ValueError(f"unsupported hash algorithm: {self.algorithm!r}")
 
     @property
     def hex(self) -> str:
@@ -98,7 +94,8 @@ def compute_input_hash(context: Iterable[ContextBinding]) -> ContentHash:
     Bindings are reduced to ``(port, content-type, content-hash)`` triples and
     sorted by port name, so the result is independent of supply order. Hashing
     per-binding content hashes (not concatenated raw bytes) keeps boundaries
-    unambiguous. The empty surface, ``[]``, is hashed once at import.
+    unambiguous; each binding hashed its bytes when it was made. The empty
+    surface, ``[]``, is hashed once at import.
     """
     triples: list[list[str]] = []
     seen: set[str] = set()
@@ -106,9 +103,7 @@ def compute_input_hash(context: Iterable[ContextBinding]) -> ContentHash:
         if binding.port in seen:
             raise DuplicatePortError(f"duplicate context port {binding.port!r}")
         seen.add(binding.port)
-        triples.append(
-            [binding.port, binding.content_type, hash_content(binding.content).hex]
-        )
+        triples.append([binding.port, binding.content_type, binding.content_hash.hex])
     if not triples:
         return _EMPTY_INPUT_HASH
     triples.sort(key=lambda t: t[0])

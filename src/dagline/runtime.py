@@ -14,6 +14,14 @@ random choice (``schedule_rng``); or the least rank into a thread pool
 (``workers > 1``). Replays and pins release their consumers at once.
 Workers receive fully resolved state and share nothing mutable, so
 published artifacts are schedule-independent.
+
+``decide`` is the one place a node is settled. A hit or a pin finishes
+there; a miss becomes one value holding the spec, the identity, the miss
+reason, whether the execution is recorded, and the resolved local state.
+The driver executes that value and ``finalize`` only publishes it. The miss
+reason names the identity component that moved since the node's prior
+record (``prior_record``), the same rule ``explain`` applies to any
+earlier run.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from dagline.graph import (
     CONTEXT_EDIT,
     ContextBinding,
     EditEvent,
+    NodeSpec,
     WorkflowGraph,
     descendants,
     topological_order,
@@ -57,7 +66,6 @@ from dagline.identity import (
     ExecutionIdentity,
     compute_execution_identity,
     compute_input_hash,
-    hash_content,
     identity_from_doc,
     identity_to_doc,
 )
@@ -68,6 +76,7 @@ from dagline.store import (
     ExecutionRecord,
     ExecutionStats,
     InputRef,
+    prior_record,
     stats_from_doc,
     stats_to_doc,
 )
@@ -85,6 +94,12 @@ MISS_INPUT = "identity-miss:input"
 MISS_PREDECESSOR = "identity-miss:predecessor"
 MISS_NEW = "identity-miss:new"
 OVERRIDE = "override"
+
+# Miss reason by the category of the diverged component.
+_MISS_REASONS = {
+    "new": MISS_NEW, "spec": MISS_SPEC, "input": MISS_INPUT,
+    "predecessor": MISS_PREDECESSOR,
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -303,6 +318,18 @@ def apply_edit(workspace: Workspace, edit: EditEvent) -> tuple[Workspace, frozen
     raise UnknownTargetError(f"unknown edit kind {edit.kind!r}")
 
 
+@dataclass(frozen=True, slots=True)
+class _Miss:
+    """A node ``decide`` could not settle: all that executing and publishing it need."""
+
+    node_id: str
+    spec: NodeSpec
+    identity: ExecutionIdentity
+    reason: str
+    recorded: bool  # deterministic, so the execution enters the ledger
+    local: ResolvedLocalState
+
+
 class _RunState:
     """Mutable bookkeeping for one run; touched only by the driving thread.
 
@@ -331,15 +358,16 @@ class _RunState:
         heapq.heapify(self.ready)
         return order[rank]
 
-    def decide(self, node_id: str) -> ExecutionIdentity | None:
-        """Settle replay/pin immediately; return the identity if execution is needed."""
+    def decide(self, node_id: str) -> _Miss | None:
+        """Settle a replay or a pin at once; return the miss if the node must execute."""
         workspace = self.workspace
+        store = workspace.store
         spec = workspace.graph.node(node_id)
         identity = node_identity(workspace, node_id, self.contributions)
 
         override = workspace.overrides.get(node_id)
         if override is not None:
-            if not workspace.store.has_artifact(override):
+            if not store.has_artifact(override):
                 raise UnknownTargetError(
                     f"override for {node_id!r} references missing artifact"
                 )
@@ -350,44 +378,39 @@ class _RunState:
             return None
 
         deterministic = workspace.registry.is_deterministic(spec.executor_kind)
-        if self.mode == REPLAY and deterministic:
-            record = workspace.store.lookup_by_identity(identity)
-            if record is not None:
-                workspace.store.get_artifact(record.canonical_artifact)  # integrity
-                # The ledger's identity equals the one just computed; keeping it
-                # frees the new one at once, so a hit leaves only its decision.
-                self._finish(node_id, NodeDecision(
-                    node_id=node_id, identity=record.identity, action=REPLAYED,
-                    reason=IDENTITY_HIT, artifact_id=record.canonical_artifact,
-                ))
-                return None
-        return identity
+        record = store.lookup_by_identity(identity)
+        if record is None:
+            divergence = _divergence(prior_record(store, node_id, identity), identity)
+            reason = _MISS_REASONS[divergence.partition(":")[0]]
+        elif self.mode == REPLAY and deterministic:
+            store.get_artifact(record.canonical_artifact)  # integrity
+            # The ledger's identity equals the one just computed; keeping it
+            # frees the new one at once, so a hit leaves only its decision.
+            self._finish(node_id, NodeDecision(
+                node_id=node_id, identity=record.identity, action=REPLAYED,
+                reason=IDENTITY_HIT, artifact_id=record.canonical_artifact,
+            ))
+            return None
+        else:
+            reason = IDENTITY_HIT  # full-mode recompute over a warm ledger
+        local = resolve_local_state(workspace, node_id, self.published)
+        return _Miss(node_id, spec, identity, reason, deterministic, local)
 
-    def finalize(
-        self, node_id: str, identity: ExecutionIdentity,
-        state: ResolvedLocalState, result: NodeResult,
-    ) -> None:
-        """Publish an executed node's output and write its ledger entry."""
-        workspace = self.workspace
-        spec = workspace.graph.node(node_id)
-        reason = self._miss_reason(node_id, identity)
-
+    def finalize(self, miss: _Miss, result: NodeResult) -> None:
+        """Publish an executed node's output and, if it is recorded, its ledger entry."""
+        store = self.workspace.store
         content, content_type = result.canonical_output
-        canonical_id = workspace.store.put_artifact(
-            content, content_type=content_type, producer=node_id, produced_under=identity
-        )
-
-        if workspace.registry.is_deterministic(spec.executor_kind):
-            surface: dict[str, InputRef] = {}
-            for binding in state.context_entries:
-                surface[binding.port] = InputRef(
-                    CONTEXT_INPUT, hash_content(binding.content)
-                )
-            for port, artifact in state.dependency_artifacts.items():
+        canonical_id = store.put_artifact(content, content_type, miss.node_id, miss.identity)
+        if miss.recorded:
+            surface = {
+                b.port: InputRef(CONTEXT_INPUT, b.content_hash)
+                for b in miss.local.context_entries
+            }
+            for port, artifact in miss.local.dependency_artifacts.items():
                 surface[port] = InputRef(DEPENDENCY_INPUT, artifact.artifact_id)
-            workspace.store.record_execution(ExecutionRecord(
-                identity=identity,
-                node_id=node_id,
+            store.record_execution(ExecutionRecord(
+                identity=miss.identity,
+                node_id=miss.node_id,
                 canonical_artifact=canonical_id,
                 candidate_artifacts=(canonical_id,),
                 input_surface=surface,
@@ -395,24 +418,10 @@ class _RunState:
             ))
 
         self.totals = self.totals + result.stats
-        self._finish(node_id, NodeDecision(
-            node_id=node_id, identity=identity, action=RECOMPUTED,
-            reason=reason, artifact_id=canonical_id,
+        self._finish(miss.node_id, NodeDecision(
+            node_id=miss.node_id, identity=miss.identity, action=RECOMPUTED,
+            reason=miss.reason, artifact_id=canonical_id,
         ))
-
-    def _miss_reason(self, node_id: str, identity: ExecutionIdentity) -> str:
-        store = self.workspace.store
-        if store.lookup_by_identity(identity) is not None:
-            return IDENTITY_HIT  # full-mode recompute over a warm ledger
-        prior = store.latest_record_for_node(node_id)
-        if prior is None:
-            return MISS_NEW
-        component = diverging_component(prior.identity, identity)
-        if component == "spec":
-            return MISS_SPEC
-        if component == "input":
-            return MISS_INPUT
-        return MISS_PREDECESSOR
 
     def _finish(self, node_id: str, decision: NodeDecision) -> None:
         self.decisions[node_id] = decision
@@ -438,6 +447,11 @@ def diverging_component(prior: ExecutionIdentity, current: ExecutionIdentity) ->
         if a is None or b is None or a.hex != b.hex:
             return f"predecessor:{port}"
     return "none"
+
+
+def _divergence(prior: ExecutionRecord | None, identity: ExecutionIdentity) -> str:
+    """What moved since the prior record: ``new`` when there is none."""
+    return "new" if prior is None else diverging_component(prior.identity, identity)
 
 
 def run(
@@ -473,35 +487,26 @@ def run(
     run_id = run_id or f"{time.time_ns():019d}-{uuid.uuid4().hex[:6]}"
     started = time.perf_counter()
 
+    failure: ExecutorFailureError | None = None
     try:
         _drive(state, workers, schedule_rng)
     except ExecutorFailureError as exc:
-        elapsed = time.perf_counter() - started
-        partial = RunReport(
-            run_id=run_id,
-            mode=mode,
-            decisions=tuple(
-                state.decisions[n] for n in order if n in state.decisions
-            ),
-            final_artifacts=dict(state.published),
-            totals=state.totals,
-            elapsed=elapsed,
-            failed_node=exc.node_id,
-        )
-        workspace.store.put_run_report(run_id, report_to_doc(partial))
-        exc.partial_report = partial  # type: ignore[attr-defined]
-        raise
+        failure = exc
 
-    elapsed = time.perf_counter() - started
+    # A failed run reports the decisions made before the failure.
     report = RunReport(
         run_id=run_id,
         mode=mode,
-        decisions=tuple(state.decisions[n] for n in order),
+        decisions=tuple(state.decisions[n] for n in order if n in state.decisions),
         final_artifacts=dict(state.published),
         totals=state.totals,
-        elapsed=elapsed,
+        elapsed=time.perf_counter() - started,
+        failed_node=None if failure is None else failure.node_id,
     )
     workspace.store.put_run_report(run_id, report_to_doc(report))
+    if failure is not None:
+        failure.partial_report = report  # type: ignore[attr-defined]
+        raise failure
     return report
 
 
@@ -511,29 +516,23 @@ def _drive(state: _RunState, workers: int, schedule_rng: random.Random | None) -
     Finished futures are finalized in node-id order, so one batch of
     completions always publishes in the same sequence.
     """
-    workspace = state.workspace
+    registry = state.workspace.registry
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    in_flight: dict[Future, tuple[str, ExecutionIdentity, ResolvedLocalState]] = {}
+    in_flight: dict[Future, _Miss] = {}
     try:
         while state.ready or in_flight:
             while state.ready:
-                node_id = state.pop_ready(schedule_rng)
-                identity = state.decide(node_id)
-                if identity is None:
+                miss = state.decide(state.pop_ready(schedule_rng))
+                if miss is None:
                     continue  # replayed or pinned; its consumers are ready now
-                local = resolve_local_state(workspace, node_id, state.published)
-                spec = workspace.graph.node(node_id)
                 if pool is None:
-                    result = execute(spec, local, workspace.registry)
-                    state.finalize(node_id, identity, local, result)
+                    state.finalize(miss, execute(miss.spec, miss.local, registry))
                 else:
-                    future = pool.submit(execute, spec, local, workspace.registry)
-                    in_flight[future] = (node_id, identity, local)
+                    in_flight[pool.submit(execute, miss.spec, miss.local, registry)] = miss
             if in_flight:
                 done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                for future in sorted(done, key=lambda f: in_flight[f][0]):
-                    node_id, identity, local = in_flight.pop(future)
-                    state.finalize(node_id, identity, local, future.result())
+                for future in sorted(done, key=lambda f: in_flight[f].node_id):
+                    state.finalize(in_flight.pop(future), future.result())
     finally:
         if pool is not None:
             for future in in_flight:
@@ -567,39 +566,23 @@ class Explanation:
 
 
 def explain(store: BaseStore, report: RunReport, node_id: str) -> Explanation:
-    """Attribute a node's run decision to the identity component that moved."""
+    """Attribute a node's run decision to the identity component that moved.
+
+    A miss is compared with the node's prior record for that run's identity,
+    the rule the run itself used, so any earlier run is explained as it ran.
+    """
     decision = report.decision_for(node_id)
-    if decision.action in (REPLAYED, PINNED) or decision.reason == IDENTITY_HIT:
-        return Explanation(
-            node_id=node_id,
-            action=decision.action,
-            reason=decision.reason,
-            divergence=None,
-            current_identity=decision.identity.value.hex,
-            prior_identity=None,
-        )
-    current_hex = decision.identity.value.hex
-    prior: ExecutionIdentity | None = None
-    for identity_value in reversed(store.node_history(node_id)):
-        if identity_value.hex != current_hex:
-            record = store.lookup_by_identity(identity_value)
-            if record is not None:
-                prior = record.identity
-                break
-    if prior is None:
-        return Explanation(
-            node_id=node_id,
-            action=decision.action,
-            reason=decision.reason,
-            divergence="new",
-            current_identity=current_hex,
-            prior_identity=None,
-        )
+    divergence = prior_identity = None
+    if decision.action == RECOMPUTED and decision.reason != IDENTITY_HIT:
+        prior = prior_record(store, node_id, decision.identity)
+        divergence = _divergence(prior, decision.identity)
+        if prior is not None:
+            prior_identity = prior.identity.value.hex
     return Explanation(
         node_id=node_id,
         action=decision.action,
         reason=decision.reason,
-        divergence=diverging_component(prior, decision.identity),
-        current_identity=current_hex,
-        prior_identity=prior.value.hex,
+        divergence=divergence,
+        current_identity=decision.identity.value.hex,
+        prior_identity=prior_identity,
     )

@@ -303,6 +303,25 @@ class BaseStore:
         return sorted(self._run_ids())
 
 
+def prior_record(
+    store: BaseStore, node_id: str, identity: ExecutionIdentity
+) -> ExecutionRecord | None:
+    """The nearest history entry before ``identity`` that has a ledger record.
+
+    An identity not in the history yet, as in a run deciding a miss, follows
+    the whole history; so a run's miss reason and a later explanation of that
+    run read the same prior record.
+    """
+    history = store._node_history(node_id)
+    current = identity.value.hex
+    end = history.index(current) if current in history else len(history)
+    for hex_identity in reversed(history[:end]):
+        record = store._records.get(hex_identity)
+        if record is not None:
+            return record
+    return None
+
+
 class MemoryStore(BaseStore):
     """Dict-backed store; same contract as FileStore, no persistence."""
 

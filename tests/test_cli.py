@@ -7,6 +7,9 @@ import json
 import pytest
 
 from dagline.cli import main
+from dagline.graph import ContextBinding, Edge, NodeSpec, PortDecl, WorkflowGraph
+from dagline.runtime import FULL, Workspace, run
+from dagline.store import FileStore
 
 MANIFEST = {
     "nodes": [
@@ -260,6 +263,65 @@ class TestLineageExplainDiff:
         assert invoke("explain", "--store", project["store"],
                       "--node", "digest", "--run", "nope") == 1
         assert invoke("lineage", "--store", project["store"], "--node", "ghost") == 1
+
+
+def run_into_store(store_dir, nodes, edges) -> None:
+    """Run a graph whose sources read context port ``raw`` into a FileStore."""
+    context = {
+        (spec.node_id, "raw"): ContextBinding("raw", b"source MARK:SRC\n")
+        for spec in nodes if spec.input_ports[0].source == "context"
+    }
+    graph = WorkflowGraph(nodes, edges)
+    run(Workspace(graph=graph, context=context, store=FileStore(store_dir)), FULL)
+
+
+def source(node_id: str) -> NodeSpec:
+    return NodeSpec(node_id, "passthrough", {}, (PortDecl("raw", "text", "context"),))
+
+
+class TestLineageScale:
+    def test_lattice_prints_each_shared_ancestor_once(self, tmp_path, capsys):
+        width, depth = 10, 12
+        nodes = [source(f"n000_{j:03d}") for j in range(width)]
+        edges = []
+        ports = (PortDecl("in0", "text"), PortDecl("in1", "text"))
+        for k in range(1, depth):
+            for j in range(width):
+                node_id = f"n{k:03d}_{j:03d}"
+                nodes.append(NodeSpec(node_id, "synthesis", {"level": k}, ports))
+                edges.append(Edge(f"n{k - 1:03d}_{j:03d}", node_id, "in0"))
+                edges.append(Edge(f"n{k - 1:03d}_{(j + 1) % width:03d}", node_id, "in1"))
+        run_into_store(tmp_path / "store", nodes, edges)
+        assert invoke("lineage", "--store", str(tmp_path / "store"), "--node", "n011_000") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) <= 3 * len(nodes)
+        # Each of the node's ancestors, itself included, is printed in full once.
+        full = [line for line in lines if "identity=" in line and "(see above)" not in line]
+        ancestry = sum(min(depth - k, width) for k in range(depth))
+        assert len(full) == len({line.split()[0] for line in full}) == ancestry
+
+    def test_long_chain_does_not_exhaust_the_stack(self, tmp_path, capsys):
+        nodes = [source("c0000")] + [
+            NodeSpec(f"c{i:04d}", "synthesis", {}, (PortDecl("up", "text"),))
+            for i in range(1, 1500)
+        ]
+        edges = [Edge(f"c{i - 1:04d}", f"c{i:04d}", "up") for i in range(1, 1500)]
+        run_into_store(tmp_path / "store", nodes, edges)
+        assert invoke("lineage", "--store", str(tmp_path / "store"), "--node", "c1499") == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1501
+
+    def test_identical_bytes_chain_prints_each_node_once(self, tmp_path, capsys):
+        nodes = [source("p0")] + [
+            NodeSpec(f"p{i}", "passthrough", {}, (PortDecl("up", "text"),))
+            for i in range(1, 6)
+        ]
+        edges = [Edge(f"p{i - 1}", f"p{i}", "up") for i in range(1, 6)]
+        run_into_store(tmp_path / "store", nodes, edges)
+        assert invoke("lineage", "--store", str(tmp_path / "store"), "--node", "p5") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == [
+            "p5", "p4", "p3", "p2", "p1", "p0", "context:raw"
+        ]
 
 
 class TestExperimentCommand:

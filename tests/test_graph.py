@@ -1,4 +1,4 @@
-"""Graph model: validation, ordering, readiness, reachability."""
+"""Graph model: validation, ordering, reachability."""
 
 from __future__ import annotations
 
@@ -6,8 +6,6 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from dagline.errors import CycleError, UnknownNodeError
 from dagline.graph import (
@@ -15,7 +13,6 @@ from dagline.graph import (
     NodeSpec,
     WorkflowGraph,
     descendants,
-    ready_set,
     topological_order,
     validate_graph,
 )
@@ -177,40 +174,6 @@ class TestTopologicalOrder:
             permuted = WorkflowGraph(shuffled_nodes, shuffled_edges)
             assert topological_order(permuted) == baseline
             assert permuted == WorkflowGraph(nodes, edges)
-
-
-class TestReadySet:
-    def test_diamond_progression(self):
-        graph = diamond_graph()
-        assert ready_set(graph, set()) == {"a"}
-        assert ready_set(graph, {"a"}) == {"b", "c"}
-        assert ready_set(graph, {"a", "b", "c"}) == {"d"}
-
-    def test_completion_by_dependency_edges_brute_force(self):
-        graph = diamond_graph()
-        deps = {n: set() for n in graph.nodes}
-        for e in graph.edges:
-            deps[e.consumer].add(e.producer)
-        for completed in ({"a"}, {"a", "b"}, {"a", "c"}, {"a", "b", "c"}):
-            expected = {
-                n for n in graph.nodes
-                if n not in completed and deps[n] <= completed
-            }
-            assert ready_set(graph, completed) == expected
-
-    def test_unknown_completed_node(self):
-        with pytest.raises(UnknownNodeError):
-            ready_set(diamond_graph(), {"ghost"})
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_monotone_in_completed(self, data):
-        graph = diamond_graph()
-        ids = list(graph.node_ids())
-        small = set(data.draw(st.lists(st.sampled_from(ids), unique=True)))
-        extra = set(data.draw(st.lists(st.sampled_from(ids), unique=True)))
-        big = small | extra
-        assert ready_set(graph, small) <= ready_set(graph, big) | big
 
 
 class TestDescendants:

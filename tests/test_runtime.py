@@ -479,6 +479,45 @@ class TestExplain:
             assert info.divergence == f"predecessor:{port}"
             assert report.decision_for("d").reason == "identity-miss:predecessor"
 
+    @pytest.mark.parametrize("backend", ["memory", "file"])
+    def test_every_run_is_explained_by_its_own_miss_reason(self, backend, tmp_path):
+        graph = WorkflowGraph(
+            [source_node("a"), source_node("b"),
+             synthesis_node("m", (dep_port("x"), dep_port("y")))],
+            [Edge("a", "m", "x"), Edge("b", "m", "y")],
+        )
+        workspace = workspace_for(graph)
+        if backend == "file":
+            workspace = replace(workspace, store=FileStore(tmp_path / "store"))
+        reports = [run(workspace, REPLAY)]
+        reconfigured = replace(graph.node("m"), config={"temperature": "low"})
+        workspace = replace(workspace, graph=WorkflowGraph(
+            [graph.node("a"), graph.node("b"), reconfigured], graph.edges
+        ))
+        reports.append(run(workspace, REPLAY))
+        workspace, _ = apply_edit(workspace, EditEvent(
+            CONTEXT_EDIT, "b", b"edited b", port="raw", event_id="e"
+        ))
+        reports.append(run(workspace, REPLAY))
+
+        reasons = [
+            {d.node_id: d.reason.removeprefix("identity-miss:")
+             for d in report.decisions if d.action == RECOMPUTED}
+            for report in reports
+        ]
+        assert reasons == [
+            {"a": "new", "b": "new", "m": "new"},
+            {"m": "spec"},
+            {"b": "input", "m": "predecessor"},
+        ]
+        # Explained after all three runs, each run still reads as it ran.
+        explained = [
+            {node: explain(workspace.store, report, node).divergence.partition(":")[0]
+             for node in run_reasons}
+            for report, run_reasons in zip(reports, reasons)
+        ]
+        assert explained == reasons
+
 
 def test_report_with_tampered_identity_value_fails_decode():
     workspace = chain_workspace()
