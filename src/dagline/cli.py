@@ -170,32 +170,42 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _load_workspace(args: argparse.Namespace, store: FileStore, edit_log: list[dict]) -> Workspace:
-    """The manifest and the context directory, with the store's edit log applied in order."""
+    """The manifest and the context directory, with the store's edit log on top.
+
+    The log is read in one pass: the latest edit of each port or node wins, a
+    context-edit's bytes come from the store (its context file is not read),
+    and an artifact-edit pins its artifact id.
+    """
     graph, violations = load_manifest(args.manifest)
     violations += validate_graph(graph)
     if violations:
         raise DaglineError(
             "manifest is invalid:\n" + "\n".join(str(v) for v in violations)
         )
+    context_edits: dict[tuple[str, str], ContentHash] = {}
+    overrides: dict[str, ContentHash] = {}
+    for entry in edit_log:
+        artifact_id = ContentHash.from_hex(entry["artifact"])
+        if entry["kind"] == CONTEXT_EDIT:
+            context_edits[(entry["node"], entry["port"])] = artifact_id
+        else:
+            overrides[entry["node"]] = artifact_id
     context = {}
     context_dir: Path | None = getattr(args, "context", None)
     for node_id, spec in graph.nodes.items():
         for port in spec.context_ports:
-            if context_dir is None:
+            if context_dir is None or (node_id, port.name) in context_edits:
                 continue
             path = context_dir / node_id / port.name
             if path.exists():
                 context[(node_id, port.name)] = ContextBinding(
                     port.name, path.read_bytes(), port.artifact_type
                 )
-    workspace = Workspace(graph=graph, context=context, store=store)
-    for entry in edit_log:
-        content = store.get_artifact(ContentHash.from_hex(entry["artifact"])).content
-        workspace, _ = apply_edit(workspace, EditEvent(
-            kind=entry["kind"], node_id=entry["node"], port=entry.get("port"),
-            new_content=content, event_id=entry["event_id"],
-        ))
-    return workspace
+    for (node_id, name), artifact_id in context_edits.items():
+        port = graph.node(node_id).context_port(name)
+        content = store.get_artifact(artifact_id).content
+        context[(node_id, name)] = ContextBinding(name, content, port.artifact_type)
+    return Workspace(graph=graph, context=context, overrides=overrides, store=store)
 
 
 def _edit_log_path(store: FileStore) -> Path:
@@ -244,7 +254,7 @@ def _cmd_edit(args: argparse.Namespace) -> int:
         content = Path(file_name).read_bytes()
         edit = EditEvent(CONTEXT_EDIT, node, content, port=port, event_id=event_id)
         _, dirty = apply_edit(workspace, edit)
-        content_type = workspace.graph.node(node).port(port).artifact_type
+        content_type = workspace.graph.node(node).context_port(port).artifact_type
         artifact_id = store.put_artifact(content, content_type, node, produced_under=None)
     else:
         node, file_name = _parse_edit_spec(args.artifact_edit, 2)

@@ -8,8 +8,10 @@ judge-free record of which source material reached it.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 _WORDS = (
     "coverage", "visit", "panel", "network", "clinic", "follow-up", "intake",
@@ -30,30 +32,18 @@ class Fragment:
     markers: tuple[str, ...]
 
 
-class SerialCounter:
-    """Allocates corpus-wide unique marker serials."""
-
-    def __init__(self) -> None:
-        self._next = 0
-
-    def take(self) -> int:
-        value = self._next
-        self._next += 1
-        return value
-
-
 def make_fragment(
     rng: random.Random,
     name: str,
     branch: str,
-    serials: SerialCounter,
+    serials: Iterator[int],
     *,
     marker_count: int = 2,
     approx_size: int = 800,
 ) -> Fragment:
     """Build one fragment of roughly ``approx_size`` bytes."""
     markers = tuple(
-        f"MARK:{branch}:{serials.take():04d}" for _ in range(marker_count)
+        f"MARK:{branch}:{next(serials):04d}" for _ in range(marker_count)
     )
     lines = [f"## {name} notes"]
     size = len(lines[0])
@@ -70,22 +60,18 @@ def make_fragment(
     return Fragment(name=name, branch=branch, text=text, markers=markers)
 
 
-def build_corpus(
-    seed: int,
-    *,
-    include_recruiting: bool,
-    source_size: int = 2600,
-    directive_size: int = 600,
-    recruiting_size: int = 220,
-) -> dict[str, Fragment]:
+def build_corpus(seed: int, *, include_recruiting: bool) -> dict[str, Fragment]:
     """All source fragments for one scenario, keyed by fragment name.
 
-    The same seed always yields byte-identical fragments. Recruiting
-    fragments are generated only for the unrelated-branch scenario; either
-    way serials never collide, including with later edit fragments.
+    The sizes are fixed: each of the four memo sources is about 2600 bytes,
+    the operator directives about 600 and each recruiting fragment about
+    220. The same seed always yields byte-identical fragments. Recruiting
+    fragments, and the replacement content for the recruiting edit, are
+    generated only for the unrelated-branch scenario; either way serials
+    never collide.
     """
     rng = random.Random(seed)
-    serials = SerialCounter()
+    serials = itertools.count()
     fragments = {}
     for name, branch in (
         ("utilization", "UTILIZATION"),
@@ -94,19 +80,19 @@ def build_corpus(
         ("access_cost", "ACCESS-COST"),
     ):
         fragments[name] = make_fragment(
-            rng, name, branch, serials, marker_count=3, approx_size=source_size
+            rng, name, branch, serials, marker_count=3, approx_size=2600
         )
     fragments["directives"] = make_fragment(
-        rng, "directives", "CRITERIA", serials, marker_count=1, approx_size=directive_size
+        rng, "directives", "CRITERIA", serials, marker_count=1, approx_size=600
     )
     if include_recruiting:
         for name, branch in (("recruit_a", "RECRUIT-A"), ("recruit_b", "RECRUIT-B")):
             fragments[name] = make_fragment(
-                rng, name, branch, serials, marker_count=2, approx_size=recruiting_size
+                rng, name, branch, serials, marker_count=2, approx_size=220
             )
         # The replacement content for the recruiting edit, with fresh serials.
         fragments["recruit_a_edited"] = make_fragment(
             rng, "recruit_a_edited", "RECRUIT-A", serials,
-            marker_count=2, approx_size=recruiting_size,
+            marker_count=2, approx_size=220,
         )
     return fragments

@@ -29,7 +29,7 @@ class LoopState:
 
     prior_final: bytes
     source_bundle: tuple[tuple[str, bytes], ...]
-    edit_event: EditEvent | None = None
+    edit_event: EditEvent
 
 
 def loop_state_for(scenario: Scenario, edited_workspace: Workspace) -> LoopState:
@@ -69,8 +69,6 @@ def loop_update_result(
     for label, content in state.source_bundle:
         entries.append(ContextBinding(f"bundle:{label}", content, "text"))
     if condition == WITH_EDIT_EVENT:
-        if state.edit_event is None:
-            raise DaglineError("edit-aware loop condition requires an edit event")
         entries.append(ContextBinding(
             "edit_event", render_edit_event(state.edit_event).encode("utf-8"), "text"
         ))

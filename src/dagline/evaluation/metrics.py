@@ -17,23 +17,6 @@ from dagline.graph import ancestors, descendants
 from dagline.identity import hash_content
 from dagline.store import ExecutionStats
 
-METRIC_FIELDS = (
-    "final_output_exact_match",
-    "final_output_hash_preserved",
-    "stable_artifact_hash_preservation",
-    "unnecessary_churn_rate",
-    "unrelated_branch_contamination_rate",
-    "final_memo_constraint_reflection",
-    "cross_artifact_consistency_score",
-    "downstream_propagation_recall",
-    "upstream_churn_rate",
-    "unaffected_artifact_preservation",
-    "input_chars",
-    "output_chars",
-    "synthesis_calls",
-    "elapsed",
-)
-
 
 @dataclass(frozen=True, slots=True)
 class MetricsRow:
@@ -61,7 +44,11 @@ class MetricsRow:
                 raise DaglineError(f"rate {name} out of [0,1]: {value}")
 
     def as_dict(self) -> dict[str, float]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in METRIC_FIELDS}
+
+
+# Field order, which is the CSV column order; the first ten are rates.
+METRIC_FIELDS = tuple(f.name for f in fields(MetricsRow))
 
 
 @dataclass(frozen=True, slots=True)

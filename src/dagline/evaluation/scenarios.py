@@ -30,8 +30,8 @@ from dagline.graph import (
     WorkflowGraph,
     descendants,
 )
-from dagline.runtime import REPLAY, RunReport, Workspace, run
-from dagline.store import BaseStore, MemoryStore
+from dagline.runtime import REPLAY, Workspace, run
+from dagline.store import MemoryStore
 
 UNRELATED_BRANCH_NOOP_UPDATE = "unrelated_branch_noop_update"
 INTERMEDIATE_ARTIFACT_EDIT = "intermediate_artifact_edit"
@@ -129,7 +129,14 @@ def build_memo_graph(*, include_recruiting: bool, work_passes: int) -> WorkflowG
 
 @dataclass(frozen=True, slots=True)
 class Scenario:
-    """One task instance: baseline state, the edit, and derived label sets."""
+    """One task instance: the baseline workspace, the edit, and its label sets.
+
+    ``workspace`` has run once (its store holds the baseline) and
+    ``pre_state`` is that run's bytes per node. ``propagation_set`` is the
+    edit target's descendants and ``stable_set`` every other node but the
+    target. The markers and the two node names are what the metrics look
+    for in the post-update bytes.
+    """
 
     name: str
     workspace: Workspace
@@ -143,10 +150,6 @@ class Scenario:
     criteria_version_marker: str
     propagation_markers: tuple[str, ...]
     pre_state: Mapping[str, bytes]
-    baseline_report: RunReport
-    fragments: Mapping[str, Fragment]
-    work_passes: int
-    seed: int
 
     def __post_init__(self) -> None:
         if self.stable_set & self.propagation_set:
@@ -164,7 +167,6 @@ def build_scenario(
     name: str,
     seed: int,
     *,
-    store: BaseStore | None = None,
     work_passes: int = DEFAULT_WORK_PASSES,
 ) -> Scenario:
     """Construct a scenario: corpus, workspace, baseline run, and edit event.
@@ -193,7 +195,7 @@ def build_scenario(
         context[("recruit_src_a", "raw")] = _binding(fragments["recruit_a"])
         context[("recruit_src_b", "raw")] = _binding(fragments["recruit_b"])
 
-    workspace = Workspace(graph=graph, context=context, store=store or MemoryStore())
+    workspace = Workspace(graph=graph, context=context, store=MemoryStore())
     baseline = run(workspace, REPLAY, run_id=f"baseline-{name}-{seed}")
     pre_state = {
         node: workspace.store.get_artifact(artifact).content
@@ -251,10 +253,6 @@ def build_scenario(
         criteria_version_marker=criteria_version_marker,
         propagation_markers=propagation_markers,
         pre_state=pre_state,
-        baseline_report=baseline,
-        fragments=fragments,
-        work_passes=work_passes,
-        seed=seed,
     )
 
 

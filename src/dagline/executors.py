@@ -28,7 +28,7 @@ from dagline.errors import (
     UnknownExecutorError,
 )
 from dagline.graph import ContextBinding, NodeSpec
-from dagline.identity import canonical_json_bytes, hash_content
+from dagline.identity import ContentHash, canonical_json_bytes, hash_content
 from dagline.store import ArtifactRecord, ExecutionStats
 
 MARKER_PATTERN = re.compile(rb"MARK:[A-Z0-9_.-]+(?::[A-Z0-9_.-]+)*")
@@ -49,11 +49,16 @@ class ResolvedLocalState:
     context_entries: tuple[ContextBinding, ...] = ()
     dependency_artifacts: Mapping[str, ArtifactRecord] = field(default_factory=dict)
 
-    def input_surface(self) -> list[tuple[str, bytes]]:
-        """(port, bytes) for every input, sorted by port name."""
-        surface = [(b.port, b.content) for b in self.context_entries]
+    def input_surface(self) -> list[tuple[str, ContentHash, bytes]]:
+        """(port, content hash, bytes) for every input, sorted by port name.
+
+        The hashes are the ones already computed: a binding's ``content_hash``
+        and an artifact's id.
+        """
+        surface = [(b.port, b.content_hash, b.content) for b in self.context_entries]
         surface.extend(
-            (port, rec.content) for port, rec in self.dependency_artifacts.items()
+            (port, rec.artifact_id, rec.content)
+            for port, rec in self.dependency_artifacts.items()
         )
         surface.sort(key=lambda item: item[0])
         return surface
@@ -151,14 +156,14 @@ def synthesize(spec: NodeSpec, state: ResolvedLocalState) -> NodeResult:
     if work_passes > 0 and surface:
         scratch = hashlib.sha256()
         for _ in range(work_passes):
-            for _, content in surface:
+            for _, _, content in surface:
                 scratch.update(content)
         scratch.digest()
 
     lines = ["synthesis/v1", f"node: {spec.node_id}", f"instructions: {config_digest(spec)}"]
     body: dict[str, None] = {}
-    for port, content in surface:
-        lines.append(f"port: {port} {hash_content(content).hex}")
+    for port, content_hash, content in surface:
+        lines.append(f"port: {port} {content_hash.hex}")
         for marker in extract_markers(content):
             lines.append(f"mark: {marker}")
             body.setdefault(marker)
@@ -176,7 +181,7 @@ def passthrough(spec: NodeSpec, state: ResolvedLocalState) -> NodeResult:
             f"passthrough node {spec.node_id!r} needs exactly one input port, "
             f"got {len(surface)}"
         )
-    _, content = surface[0]
+    _, _, content = surface[0]
     return NodeResult(canonical_output=(content, spec.output_type))
 
 
@@ -223,7 +228,7 @@ def execute(
             f"contract requires {spec.output_type!r}"
         )
     stats = ExecutionStats(
-        input_chars=sum(len(content) for _, content in state.input_surface()),
+        input_chars=sum(len(content) for _, _, content in state.input_surface()),
         output_chars=len(result.canonical_output[0]),
         synthesis_calls=1 if spec.executor_kind == SYNTHESIS else 0,
         elapsed=elapsed,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
-from dagline.errors import CycleError, UnknownNodeError
+from dagline.errors import CycleError, UnknownNodeError, UnknownTargetError
 from dagline.identity import ContentHash, hash_content, hash_spec
 
 if TYPE_CHECKING:
@@ -61,11 +61,11 @@ class NodeSpec:
         object.__setattr__(self, "config", dict(self.config))
         object.__setattr__(self, "input_ports", tuple(self.input_ports))
 
-    def port(self, name: str) -> PortDecl:
+    def context_port(self, name: str) -> PortDecl:
         for p in self.input_ports:
-            if p.name == name:
+            if p.name == name and p.source == CONTEXT:
                 return p
-        raise KeyError(f"node {self.node_id!r} has no port {name!r}")
+        raise UnknownTargetError(f"{self.node_id}:{name} is not a declared context port")
 
     @property
     def dependency_ports(self) -> tuple[PortDecl, ...]:
@@ -238,7 +238,8 @@ def validate_graph(
 ) -> list[Violation]:
     """Check every structural invariant; an empty report means valid.
 
-    Checks: edge endpoints exist, edges land on declared dependency ports,
+    Checks: node ids are safe file names (the store keeps a history file
+    per node), edge endpoints exist, edges land on declared dependency ports,
     every dependency port has exactly one producer, port declarations are
     unique per node, executor kinds are registered, and the edge relation is
     acyclic. Context-port *bindings* are a workspace concern and are checked
@@ -248,6 +249,13 @@ def validate_graph(
     known = set(graph.nodes)
 
     for spec in graph.nodes.values():
+        node_id = spec.node_id
+        if node_id in ("", ".", "..") or "/" in node_id or "\0" in node_id:
+            violations.append(Violation(
+                "unsafe-node-id",
+                f"node id {node_id!r} cannot name a file: empty, '.', '..', or holds '/' or NUL",
+                (node_id,),
+            ))
         seen_ports: set[str] = set()
         for port in spec.input_ports:
             if port.name in seen_ports:

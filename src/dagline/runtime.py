@@ -51,7 +51,6 @@ from dagline.executors import (
 )
 from dagline.graph import (
     ARTIFACT_EDIT,
-    CONTEXT,
     CONTEXT_EDIT,
     ContextBinding,
     EditEvent,
@@ -116,12 +115,7 @@ class Workspace:
         object.__setattr__(self, "context", dict(self.context))
         object.__setattr__(self, "overrides", dict(self.overrides))
         for (node_id, port_name) in self.context:
-            spec = self.graph.node(node_id)
-            port = spec.port(port_name)
-            if port.source != CONTEXT:
-                raise UnknownTargetError(
-                    f"context binding targets non-context port {node_id}:{port_name}"
-                )
+            self.graph.node(node_id).context_port(port_name)
         for node_id in self.overrides:
             self.graph.node(node_id)
 
@@ -280,17 +274,7 @@ def apply_edit(workspace: Workspace, edit: EditEvent) -> tuple[Workspace, frozen
     if edit.node_id not in graph.nodes:
         raise UnknownTargetError(f"edit targets unknown node {edit.node_id!r}")
     if edit.kind == CONTEXT_EDIT:
-        spec = graph.node(edit.node_id)
-        try:
-            port = spec.port(edit.port or "")
-        except KeyError:
-            raise UnknownTargetError(
-                f"edit targets unknown port {edit.node_id}:{edit.port}"
-            ) from None
-        if port.source != CONTEXT:
-            raise UnknownTargetError(
-                f"context-edit targets dependency port {edit.node_id}:{edit.port}"
-            )
+        port = graph.node(edit.node_id).context_port(edit.port)
         context = dict(workspace.context)
         context[(edit.node_id, port.name)] = ContextBinding(
             port=port.name, content=edit.new_content, content_type=port.artifact_type

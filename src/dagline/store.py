@@ -405,10 +405,12 @@ class FileStore(BaseStore):
         sidecar = dict(
             meta, produced_under=None if identity is None else identity_to_doc(identity)
         )
-        _atomic_write(path, content)
+        # The sidecar goes first: ``_has_object`` checks only the bytes, so a
+        # failure between the two writes leaves an object put_artifact rewrites.
         _atomic_write(
             path.with_name(path.name + ".json"), canonical_json_bytes(sidecar) + b"\n"
         )
+        _atomic_write(path, content)
 
     def _read_object(self, hex_id: str) -> tuple[bytes, dict]:
         path = self._object_path(hex_id)

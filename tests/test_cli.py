@@ -355,3 +355,45 @@ class TestLocking:
             assert "in use" in capsys.readouterr().err
         finally:
             holder.close()
+
+
+class TestEditLog:
+    def edit(self, project, flag, spec, content: bytes) -> None:
+        path = project["tmp"] / f"edit-{len(content)}.txt"
+        path.write_bytes(content)
+        assert invoke("edit", project["manifest"], "--store", project["store"],
+                      flag, spec.format(file=path)) == 0
+
+    def test_latest_edit_of_a_port_wins(self, project, capsys):
+        invoke(*run_args(project))
+        self.edit(project, "--context-edit", "fetch:raw:{file}", b"first MARK:SRC:0002\n")
+        self.edit(project, "--context-edit", "fetch:raw:{file}", b"second edit MARK:SRC:0003\n")
+        self.edit(project, "--artifact-edit", "memo:{file}", b"pinned memo\n")
+        assert invoke(*run_args(project)) == 0
+        assert "pinned" in capsys.readouterr().out
+        store = FileStore(project["store"])
+        fetch = store.get_artifact(store.latest_record_for_node("fetch").canonical_artifact)
+        assert fetch.content == b"second edit MARK:SRC:0003\n"
+
+    def test_logged_edit_of_a_removed_port_fails_the_run(self, project, capsys):
+        invoke(*run_args(project))
+        self.edit(project, "--context-edit", "fetch:raw:{file}", b"revised\n")
+        doc = json.loads(json.dumps(MANIFEST))
+        doc["nodes"][0]["inputs"][0]["port"] = "renamed"
+        with open(project["manifest"], "w") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        assert invoke(*run_args(project)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "fetch:raw" in err
+
+
+@pytest.mark.parametrize("node_id", ["../escape", "a/b"])
+def test_validate_rejects_unsafe_node_ids(tmp_path, capsys, node_id):
+    doc = json.loads(json.dumps(MANIFEST))
+    doc["nodes"][0]["id"] = node_id
+    doc["edges"][0][0] = node_id
+    path = tmp_path / "unsafe.json"
+    path.write_text(json.dumps(doc))
+    assert invoke("validate", str(path)) == 1
+    assert capsys.readouterr().out.startswith("unsafe-node-id:")

@@ -253,3 +253,19 @@ class TestGraphIndex:
             del graph.nodes[victim]  # type: ignore[attr-defined]
         assert graph == WorkflowGraph(nodes, edges)
         assert graph.node(victim) == next(n for n in nodes if n.node_id == victim)
+
+
+@pytest.mark.parametrize("node_id", ["../escape", "a/b", "", ".", "..", "nul\0byte"])
+def test_unsafe_node_id_is_a_named_violation(node_id):
+    graph = WorkflowGraph(
+        [source_node(node_id), synthesis_node("sink", (dep_port("x"),))],
+        [Edge(node_id, "sink", "x")],
+    )
+    violations = validate_graph(graph)
+    assert codes(violations) == {"unsafe-node-id"}
+    assert violations[0].nodes == (node_id,)
+
+
+def test_node_id_with_dots_inside_is_safe():
+    graph = WorkflowGraph([source_node("a..b"), source_node(".hidden")], [])
+    assert validate_graph(graph) == []

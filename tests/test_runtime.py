@@ -46,6 +46,7 @@ from dagline.runtime import (
 from dagline.store import FileStore, MemoryStore
 
 from conftest import (
+    chain_graph,
     chain_workspace,
     ctx_port,
     dep_port,
@@ -525,3 +526,27 @@ def test_report_with_tampered_identity_value_fails_decode():
     doc["decisions"][1]["identity"]["value"] = "00" * 32
     with pytest.raises(IntegrityError):
         report_from_doc(doc)
+
+
+@pytest.mark.parametrize("node_id", ["../escape", "a/b"])
+def test_unsafe_node_id_never_reaches_the_file_store(tmp_path, node_id):
+    root = tmp_path / "store"
+    graph = WorkflowGraph(
+        [source_node(node_id), synthesis_node("sink", (dep_port("x"),))],
+        [Edge(node_id, "sink", "x")],
+    )
+    workspace = Workspace(
+        graph=graph, context={(node_id, "raw"): ContextBinding("raw", b"text")},
+        store=FileStore(root),
+    )
+    with pytest.raises(DaglineError, match="unsafe-node-id"):
+        run(workspace, FULL)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
+    assert sorted(p.name for p in root.iterdir()) == ["executions", "nodes", "objects", "runs"]
+    assert not any(p.is_file() for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize("port", ["nope", "upstream"])
+def test_workspace_rejects_a_binding_for_an_undeclared_or_dependency_port(port):
+    with pytest.raises(UnknownTargetError, match=f"analysis:{port}"):
+        Workspace(graph=chain_graph(), context={("analysis", port): ContextBinding(port, b"x")})

@@ -264,3 +264,25 @@ def test_rerecord_differing_only_in_stats_is_accepted(store):
     store.record_execution(dataclasses.replace(record, stats=other_stats))
     assert [record_bytes(r) for r in store.records()] == [record_bytes(record)]
     assert store.node_history("node") == [record.identity.value]
+
+
+def test_put_artifact_after_a_failed_second_write_is_readable(tmp_path, monkeypatch):
+    import dagline.store
+    from dagline.errors import StorageError
+
+    store = FileStore(tmp_path / "store")
+    real_write = dagline.store._atomic_write
+    writes = []
+
+    def second_write_fails(path, payload):
+        writes.append(path)
+        if len(writes) == 2:
+            raise StorageError(f"injected failure writing {path}")
+        real_write(path, payload)
+
+    monkeypatch.setattr(dagline.store, "_atomic_write", second_write_fails)
+    with pytest.raises(StorageError, match="injected"):
+        store.put_artifact(b"payload", "text", "n", None)
+    artifact_id = store.put_artifact(b"payload", "text", "n", None)
+    assert store.get_artifact(artifact_id).content == b"payload"
+    assert FileStore(tmp_path / "store").get_artifact(artifact_id).producer == "n"
