@@ -7,8 +7,8 @@ supplied at run time; a port is never fed by both.
 
 All types here are immutable after construction and all operations are pure,
 so the module is safe for unrestricted concurrent use. A graph fills its
-sorted edge lists, spec hashes and Kahn pass lazily; a racing fill stores
-equal values.
+sorted edge lists, spec hashes, Kahn pass and structural violations lazily;
+a racing fill stores equal values.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from dagline.errors import CycleError, UnknownNodeError, UnknownTargetError
 from dagline.identity import ContentHash, hash_content, hash_spec
+from dagline.store import unsafe_name
 
 if TYPE_CHECKING:
     from dagline.executors import ExecutorRegistry
@@ -162,7 +163,9 @@ class WorkflowGraph:
     permuted inputs compare equal and hash identically downstream.
     """
 
-    __slots__ = ("_nodes", "_edges", "_consumers", "_incoming", "_spec_hashes", "_kahn")
+    __slots__ = (
+        "_nodes", "_edges", "_consumers", "_incoming", "_spec_hashes", "_kahn", "_violations",
+    )
 
     def __init__(self, nodes: Iterable[NodeSpec], edges: Iterable[Edge | tuple[str, str, str]]) -> None:
         self._nodes: dict[str, NodeSpec] = {}
@@ -182,6 +185,7 @@ class WorkflowGraph:
             self._incoming[e.consumer].append(e)
         self._spec_hashes: dict[str, ContentHash] = {}
         self._kahn: KahnPass | None = None
+        self._violations: tuple[Violation, ...] | None = None
 
     @property
     def nodes(self) -> Mapping[str, NodeSpec]:
@@ -244,13 +248,33 @@ def validate_graph(
     unique per node, executor kinds are registered, and the edge relation is
     acyclic. Context-port *bindings* are a workspace concern and are checked
     when local state is resolved, not here.
+
+    Everything but the executor check depends on the graph alone, so it runs
+    once per graph and is kept on it; each call returns a fresh list, with
+    any ``unknown-executor`` violations last.
     """
+    if graph._violations is None:
+        graph._violations = tuple(_structural_violations(graph))
+    violations = list(graph._violations)
+    if registry is not None:
+        for spec in graph.nodes.values():
+            if not registry.is_registered(spec.executor_kind):
+                violations.append(Violation(
+                    "unknown-executor",
+                    f"node {spec.node_id!r} names unregistered executor {spec.executor_kind!r}",
+                    (spec.node_id,),
+                ))
+    return violations
+
+
+def _structural_violations(graph: WorkflowGraph) -> list[Violation]:
+    """Every violation ``validate_graph`` finds without an executor registry."""
     violations: list[Violation] = []
     known = set(graph.nodes)
 
     for spec in graph.nodes.values():
         node_id = spec.node_id
-        if node_id in ("", ".", "..") or "/" in node_id or "\0" in node_id:
+        if unsafe_name(node_id):
             violations.append(Violation(
                 "unsafe-node-id",
                 f"node id {node_id!r} cannot name a file: empty, '.', '..', or holds '/' or NUL",
@@ -265,12 +289,6 @@ def validate_graph(
                     (spec.node_id,),
                 ))
             seen_ports.add(port.name)
-        if registry is not None and not registry.is_registered(spec.executor_kind):
-            violations.append(Violation(
-                "unknown-executor",
-                f"node {spec.node_id!r} names unregistered executor {spec.executor_kind!r}",
-                (spec.node_id,),
-            ))
 
     # Consumers in sorted order, each over its (port, producer)-sorted edges:
     # every edge is visited in (consumer, port, producer) order.

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring as _json_string
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from dagline.errors import DuplicatePortError, IntegrityError
@@ -146,12 +147,17 @@ def _identity_value(
     input_hash: ContentHash,
     predecessors: Mapping[str, ContentHash],
 ) -> ContentHash:
-    doc = {
-        "inputs": input_hash.hex,
-        "preds": {port: h.hex for port, h in predecessors.items()},
-        "spec": spec_hash.hex,
-    }
-    return hash_content(canonical_json_bytes(doc))
+    """Hash the identity document, written directly in its canonical form.
+
+    Equal to ``canonical_json_bytes({"inputs": ..., "preds": {...}, "spec":
+    ...})``: the keys are already in order, the ports are sorted, and port
+    names get the escaping ``json.dumps(ensure_ascii=False)`` applies.
+    """
+    preds = ",".join(
+        f'{_json_string(port)}:"{predecessors[port].hex}"' for port in sorted(predecessors)
+    )
+    doc = f'{{"inputs":"{input_hash.hex}","preds":{{{preds}}},"spec":"{spec_hash.hex}"}}'
+    return hash_content(doc.encode("utf-8"))
 
 
 def compute_execution_identity(

@@ -16,12 +16,13 @@ Workers receive fully resolved state and share nothing mutable, so
 published artifacts are schedule-independent.
 
 ``decide`` is the one place a node is settled. A hit or a pin finishes
-there; a miss becomes one value holding the spec, the identity, the miss
-reason, whether the execution is recorded, and the resolved local state.
-The driver executes that value and ``finalize`` only publishes it. The miss
-reason names the identity component that moved since the node's prior
-record (``prior_record``), the same rule ``explain`` applies to any
-earlier run.
+there; a hit costs one read of the stored bytes, rehashed against the
+recorded artifact id (``verify_artifact``). A miss becomes one value
+holding the spec, the identity, the miss reason, whether the execution is
+recorded, and the resolved local state. The driver executes that value
+and ``finalize`` only publishes it. The miss reason names the identity
+component that moved since the node's prior record (``prior_record``), the
+same rule ``explain`` applies to any earlier run.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ from dagline.store import (
     ExecutionRecord,
     ExecutionStats,
     InputRef,
+    check_run_id,
     prior_record,
     stats_from_doc,
     stats_to_doc,
@@ -367,7 +369,7 @@ class _RunState:
             divergence = _divergence(prior_record(store, node_id, identity), identity)
             reason = _MISS_REASONS[divergence.partition(":")[0]]
         elif self.mode == REPLAY and deterministic:
-            store.get_artifact(record.canonical_artifact)  # integrity
+            store.verify_artifact(record.canonical_artifact)
             # The ledger's identity equals the one just computed; keeping it
             # frees the new one at once, so a hit leaves only its decision.
             self._finish(node_id, NodeDecision(
@@ -453,12 +455,18 @@ def run(
     ``workers > 1`` ready nodes execute concurrently; ``schedule_rng``
     randomizes the processing order instead. Any schedule publishes
     identical artifacts and the decision list is always reported in
-    topological order.
+    topological order. A given ``run_id`` must name a run directory
+    (``check_run_id``); it is checked before any node runs.
     """
     if mode not in (FULL, REPLAY):
         raise ValueError(f"unknown run mode {mode!r}")
     if workspace.store is None:
         raise DaglineError("workspace has no store")
+    # Generated ids sort chronologically so "latest run" is well defined.
+    if run_id is None:
+        run_id = f"{time.time_ns():019d}-{uuid.uuid4().hex[:6]}"
+    else:
+        check_run_id(run_id)
     violations = validate_graph(workspace.graph, workspace.registry)
     if violations:
         raise DaglineError(
@@ -467,8 +475,6 @@ def run(
 
     order = topological_order(workspace.graph)
     state = _RunState(workspace, mode)
-    # Generated ids sort chronologically so "latest run" is well defined.
-    run_id = run_id or f"{time.time_ns():019d}-{uuid.uuid4().hex[:6]}"
     started = time.perf_counter()
 
     failure: ExecutorFailureError | None = None

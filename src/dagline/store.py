@@ -13,6 +13,14 @@ metadata as values (``produced_under`` is an ``ExecutionIdentity``); only
 ``FileStore`` encodes and decodes the docs/FORMATS.md documents, the ledger
 entry and the artifact sidecar. Writes are serialized by an internal lock;
 concurrent identical writes are idempotent.
+
+Two reads check an artifact. ``verify_artifact``, what a replay hit costs,
+reads the object's bytes and rehashes them against the artifact id; the
+sidecar is not read. ``get_artifact`` also reads the sidecar and checks the
+``produced_under`` identity it holds against its parts.
+
+Node ids and run ids become file names, so ``unsafe_name`` is the one rule
+for both: an empty name, ``.``, ``..``, or one holding ``/`` or NUL.
 """
 
 from __future__ import annotations
@@ -42,6 +50,20 @@ from dagline.identity import (
 
 DEPENDENCY_INPUT = "dependency"
 CONTEXT_INPUT = "context"
+
+
+def unsafe_name(name: str) -> bool:
+    """Whether ``name`` cannot be one file name inside a store directory."""
+    return name in ("", ".", "..") or "/" in name or "\0" in name
+
+
+def check_run_id(run_id: str) -> str:
+    """``run_id`` itself, or ``StorageError`` if it cannot name a run directory."""
+    if unsafe_name(run_id):
+        raise StorageError(
+            f"invalid run id {run_id!r}: empty, '.', '..', or holds '/' or NUL"
+        )
+    return run_id
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,6 +202,10 @@ class BaseStore:
     def _write_object(self, hex_id: str, content: bytes, meta: dict) -> None:
         raise NotImplementedError
 
+    def _read_bytes(self, hex_id: str) -> bytes:
+        """The object's bytes alone; ``ArtifactNotFoundError`` if absent."""
+        raise NotImplementedError
+
     def _read_object(self, hex_id: str) -> tuple[bytes, dict]:
         """The bytes and metadata; ``ArtifactNotFoundError`` if absent."""
         raise NotImplementedError
@@ -233,6 +259,17 @@ class BaseStore:
         """
         content, meta = self._read_object(artifact_id.hex)
         return ArtifactRecord(artifact_id=artifact_id, content=content, **meta)
+
+    def verify_artifact(self, artifact_id: ContentHash) -> None:
+        """Check that the stored bytes hash to ``artifact_id``; metadata is not read.
+
+        Raises ``ArtifactNotFoundError`` if the object is absent and
+        ``IntegrityError`` if its bytes do not match.
+        """
+        if hash_content(self._read_bytes(artifact_id.hex)).digest != artifact_id.digest:
+            raise IntegrityError(
+                f"artifact id {artifact_id.hex[:12]} does not match content hash"
+            )
 
     def has_artifact(self, artifact_id: ContentHash) -> bool:
         return self._has_object(artifact_id.hex)
@@ -292,12 +329,10 @@ class BaseStore:
         ]
 
     def put_run_report(self, run_id: str, payload: dict) -> None:
-        if "/" in run_id or not run_id:
-            raise StorageError(f"invalid run id {run_id!r}")
-        self._write_report(run_id, canonical_json_bytes(payload) + b"\n")
+        self._write_report(check_run_id(run_id), canonical_json_bytes(payload) + b"\n")
 
     def get_run_report(self, run_id: str) -> dict:
-        return json.loads(self._read_report(run_id))
+        return json.loads(self._read_report(check_run_id(run_id)))
 
     def list_runs(self) -> list[str]:
         return sorted(self._run_ids())
@@ -336,6 +371,9 @@ class MemoryStore(BaseStore):
 
     def _write_object(self, hex_id: str, content: bytes, meta: dict) -> None:
         self._objects[hex_id] = (content, meta)
+
+    def _read_bytes(self, hex_id: str) -> bytes:
+        return self._read_object(hex_id)[0]
 
     def _read_object(self, hex_id: str) -> tuple[bytes, dict]:
         try:
@@ -378,7 +416,9 @@ class FileStore(BaseStore):
     The ledger is append-only; on open every entry is decoded, verified and
     put in BaseStore's index, so a fresh handle sees exactly what was
     recorded. This class alone encodes and decodes the ledger entries and
-    the sidecars; the rest of the store sees values.
+    the sidecars; the rest of the store sees values. Paths on the run path
+    are joined as strings from the directories fixed at open, and a handle
+    creates each object shard directory at most once.
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -386,42 +426,55 @@ class FileStore(BaseStore):
         self.root = Path(root)
         for sub in ("objects", "executions", "nodes", "runs"):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
-        with os.scandir(self.root / "executions") as entries:
+        base = os.fspath(self.root)
+        self._objects_dir = os.path.join(base, "objects")
+        self._executions_dir = os.path.join(base, "executions")
+        self._nodes_dir = os.path.join(base, "nodes")
+        self._shards: set[str] = set()  # object shard directories known to exist
+        with os.scandir(self._executions_dir) as entries:
             ledger = sorted((e.name, e.path) for e in entries if e.is_file())
         for name, path in ledger:
             with open(path, "rb") as fh:
                 self._records[name] = record_from_doc(json.loads(fh.read()))
 
+    def _object_file(self, hex_id: str) -> str:
+        return f"{self._objects_dir}/{hex_id[:2]}/{hex_id[2:]}"
+
     def _object_path(self, hex_id: str) -> Path:
-        return self.root / "objects" / hex_id[:2] / hex_id[2:]
+        return Path(self._object_file(hex_id))
 
     def _has_object(self, hex_id: str) -> bool:
-        return self._object_path(hex_id).exists()
+        return os.path.exists(self._object_file(hex_id))
 
     def _write_object(self, hex_id: str, content: bytes, meta: dict) -> None:
-        path = self._object_path(hex_id)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        shard = hex_id[:2]
+        if shard not in self._shards:
+            os.makedirs(f"{self._objects_dir}/{shard}", exist_ok=True)
+            self._shards.add(shard)
+        path = self._object_file(hex_id)
         identity = meta["produced_under"]
         sidecar = dict(
             meta, produced_under=None if identity is None else identity_to_doc(identity)
         )
         # The sidecar goes first: ``_has_object`` checks only the bytes, so a
         # failure between the two writes leaves an object put_artifact rewrites.
-        _atomic_write(
-            path.with_name(path.name + ".json"), canonical_json_bytes(sidecar) + b"\n"
-        )
+        _atomic_write(path + ".json", canonical_json_bytes(sidecar) + b"\n")
         _atomic_write(path, content)
 
-    def _read_object(self, hex_id: str) -> tuple[bytes, dict]:
-        path = self._object_path(hex_id)
+    def _read_bytes(self, hex_id: str) -> bytes:
         try:
-            content = path.read_bytes()
+            with open(self._object_file(hex_id), "rb") as fh:
+                return fh.read()
         except FileNotFoundError:
             raise ArtifactNotFoundError(f"no artifact {hex_id}") from None
         except OSError as exc:
             raise StorageError(f"cannot read artifact {hex_id[:12]}: {exc}") from exc
+
+    def _read_object(self, hex_id: str) -> tuple[bytes, dict]:
+        content = self._read_bytes(hex_id)
         try:
-            meta = json.loads(path.with_name(path.name + ".json").read_bytes())
+            with open(self._object_file(hex_id) + ".json", "rb") as fh:
+                meta = json.loads(fh.read())
         except OSError as exc:
             raise StorageError(f"cannot read artifact {hex_id[:12]}: {exc}") from exc
         doc = meta["produced_under"]
@@ -439,18 +492,18 @@ class FileStore(BaseStore):
         return ids
 
     def _put_record(self, hex_identity: str, record: ExecutionRecord) -> None:
-        _atomic_write(self.root / "executions" / hex_identity, record_bytes(record))
+        _atomic_write(f"{self._executions_dir}/{hex_identity}", record_bytes(record))
         super()._put_record(hex_identity, record)
 
     def _node_history(self, node_id: str) -> list[str]:
-        path = self.root / "nodes" / node_id
-        if not path.exists():
+        try:
+            with open(f"{self._nodes_dir}/{node_id}", encoding="utf-8") as fh:
+                return fh.read().split()
+        except FileNotFoundError:
             return []
-        return path.read_text(encoding="utf-8").split()
 
     def _append_node_history(self, node_id: str, hex_identity: str) -> None:
-        path = self.root / "nodes" / node_id
-        with path.open("a", encoding="utf-8") as fh:
+        with open(f"{self._nodes_dir}/{node_id}", "a", encoding="utf-8") as fh:
             fh.write(hex_identity + "\n")
 
     def _write_report(self, run_id: str, payload: bytes) -> None:
@@ -469,10 +522,11 @@ class FileStore(BaseStore):
         return [p.name for p in (self.root / "runs").iterdir() if p.is_dir()]
 
 
-def _atomic_write(path: Path, payload: bytes) -> None:
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}.{threading.get_ident()}")
+def _atomic_write(path: str | Path, payload: bytes) -> None:
+    tmp = f"{path}.tmp{os.getpid()}.{threading.get_ident()}"
     try:
-        tmp.write_bytes(payload)
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
         os.replace(tmp, path)
     except OSError as exc:
         raise StorageError(f"write failed for {path}: {exc}") from exc

@@ -397,3 +397,18 @@ def test_validate_rejects_unsafe_node_ids(tmp_path, capsys, node_id):
     path.write_text(json.dumps(doc))
     assert invoke("validate", str(path)) == 1
     assert capsys.readouterr().out.startswith("unsafe-node-id:")
+
+
+def test_run_makes_one_structural_validation_pass(project, capsys, monkeypatch):
+    import dagline.graph
+
+    passes = []
+    real_pass = dagline.graph._structural_violations
+
+    def counting_pass(graph):
+        passes.append(graph)
+        return real_pass(graph)
+
+    monkeypatch.setattr(dagline.graph, "_structural_violations", counting_pass)
+    assert invoke(*run_args(project)) == 0
+    assert len(passes) == 1

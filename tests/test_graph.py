@@ -269,3 +269,12 @@ def test_unsafe_node_id_is_a_named_violation(node_id):
 def test_node_id_with_dots_inside_is_safe():
     graph = WorkflowGraph([source_node("a..b"), source_node(".hidden")], [])
     assert validate_graph(graph) == []
+
+
+def test_validate_graph_returns_a_fresh_list_per_call():
+    graph = WorkflowGraph([synthesis_node("a", (dep_port("x"),)), source_node("b", "nope")], [])
+    first = validate_graph(graph)
+    first.clear()
+    assert codes(validate_graph(graph)) == {"unbound-port"}
+    assert codes(validate_graph(graph, default_registry())) == {"unbound-port", "unknown-executor"}
+    assert validate_graph(graph) is not validate_graph(graph)

@@ -6,14 +6,16 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from dagline.errors import DuplicatePortError
 from dagline.graph import ContextBinding, NodeSpec, PortDecl
 from dagline.identity import (
     ContentHash,
+    _identity_value,
     canonical_bytes,
+    canonical_json_bytes,
     compute_execution_identity,
     compute_input_hash,
     hash_content,
@@ -203,3 +205,23 @@ class TestExecutionIdentity:
             compute_input_hash([ContextBinding("c", content + b"!", "text")]),
         )
         assert identity.value.hex != grown.value.hex
+
+
+_hashes = st.binary(min_size=32, max_size=32).map(ContentHash)
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(spec=_hashes, inputs=_hashes, preds=st.dictionaries(st.text(), _hashes, max_size=4))
+@example(
+    spec=ContentHash(bytes(32)), inputs=ContentHash(bytes(32)),
+    preds={"é": ContentHash(bytes(32)), '"q"': ContentHash(bytes(32)),
+           "\x01\\": ContentHash(bytes(32)), "": ContentHash(bytes(32))},
+)
+def test_identity_value_is_the_canonical_json_document(spec, inputs, preds):
+    doc = {
+        "inputs": inputs.hex,
+        "preds": {port: h.hex for port, h in preds.items()},
+        "spec": spec.hex,
+    }
+    assert _identity_value(spec, inputs, preds) == hash_content(canonical_json_bytes(doc))

@@ -8,12 +8,14 @@ from dataclasses import replace
 import pytest
 
 from dagline.errors import (
+    ArtifactNotFoundError,
     DaglineError,
     ExecutorFailureError,
     IdentityConflictError,
     IntegrityError,
     MissingContextError,
     MissingDependencyError,
+    StorageError,
     UnknownTargetError,
 )
 from dagline.executors import NodeResult, ResolvedLocalState, default_registry, synthesize
@@ -221,6 +223,39 @@ class TestReplayIntegrity:
             path.write_bytes(bytes(raw))
         with pytest.raises(IntegrityError):
             run(workspace, REPLAY)
+
+    @pytest.mark.parametrize("backend", ["memory", "file"])
+    def test_replay_hit_on_missing_object_raises(self, backend, tmp_path):
+        workspace = chain_workspace()
+        if backend == "file":
+            workspace = replace(workspace, store=FileStore(tmp_path / "store"))
+        cold = run(workspace, FULL)
+        target = cold.final_artifacts["synthesis"].hex
+        store = workspace.store
+        if backend == "memory":
+            del store._objects[target]
+        else:
+            store._object_path(target).unlink()
+        with pytest.raises(ArtifactNotFoundError):
+            run(workspace, REPLAY)
+
+    def test_replay_hit_checks_bytes_without_the_sidecar(self, tmp_path, monkeypatch):
+        import dagline.runtime
+
+        workspace = replace(chain_workspace(), store=FileStore(tmp_path / "store"))
+        cold = run(workspace, FULL)
+        target = cold.final_artifacts["synthesis"]
+        path = workspace.store._object_path(target.hex)
+        path.with_name(path.name + ".json").unlink()
+        calls = []
+        monkeypatch.setattr(
+            dagline.runtime, "execute", lambda spec, *args: calls.append(spec.node_id)
+        )
+        replayed = run(workspace, REPLAY)
+        assert calls == []
+        assert {d.action for d in replayed.decisions} == {REPLAYED}
+        with pytest.raises(StorageError):
+            workspace.store.get_artifact(target)
 
 
 class TestApplyEdit:
@@ -550,3 +585,50 @@ def test_unsafe_node_id_never_reaches_the_file_store(tmp_path, node_id):
 def test_workspace_rejects_a_binding_for_an_undeclared_or_dependency_port(port):
     with pytest.raises(UnknownTargetError, match=f"analysis:{port}"):
         Workspace(graph=chain_graph(), context={("analysis", port): ContextBinding(port, b"x")})
+
+
+@pytest.mark.parametrize("backend", ["memory", "file"])
+@pytest.mark.parametrize("run_id", ["", ".", "..", "a/b", "a\0b"])
+def test_unsafe_run_id_writes_nothing(backend, run_id, tmp_path):
+    root = tmp_path / "store"
+    store = MemoryStore() if backend == "memory" else FileStore(root)
+    workspace = replace(chain_workspace(), store=store)
+    with pytest.raises(StorageError, match="invalid run id"):
+        store.put_run_report(run_id, {"run_id": run_id})
+    with pytest.raises(StorageError, match="invalid run id"):
+        run(workspace, FULL, run_id=run_id)
+    assert store.list_runs() == []
+    assert store.artifact_count() == 0
+    if backend == "file":
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
+        assert not any(p.is_file() for p in root.rglob("*"))
+
+
+def test_cold_file_run_makes_one_directory_per_shard(tmp_path, monkeypatch):
+    import os
+
+    width, depth = 10, 30
+    nodes = [source_node(f"n00_{j}") for j in range(width)]
+    edges = []
+    for k in range(1, depth):
+        for j in range(width):
+            node_id = f"n{k:02d}_{j}"
+            nodes.append(synthesis_node(node_id, (dep_port("in0"), dep_port("in1"))))
+            edges.append(Edge(f"n{k - 1:02d}_{j}", node_id, "in0"))
+            edges.append(Edge(f"n{k - 1:02d}_{(j + 1) % width}", node_id, "in1"))
+    workspace = replace(
+        workspace_for(WorkflowGraph(nodes, edges)), store=FileStore(tmp_path / "store")
+    )
+    real_mkdir = os.mkdir
+    made = []
+
+    def counting_mkdir(path, *args, **kwargs):
+        made.append(path)
+        return real_mkdir(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "mkdir", counting_mkdir)
+    run(workspace, FULL)
+    objects = workspace.store._object_ids()
+    shards = {hex_id[:2] for hex_id in objects}
+    assert len(objects) > len(shards)  # some shard holds two objects
+    assert len(made) <= len(shards) + 1  # plus the run's report directory

@@ -286,3 +286,21 @@ def test_put_artifact_after_a_failed_second_write_is_readable(tmp_path, monkeypa
     artifact_id = store.put_artifact(b"payload", "text", "n", None)
     assert store.get_artifact(artifact_id).content == b"payload"
     assert FileStore(tmp_path / "store").get_artifact(artifact_id).producer == "n"
+
+
+def test_verify_artifact_accepts_stored_bytes_and_rejects_absent_ones(store):
+    artifact_id = store.put_artifact(b"verified", "text", "n", identity_for(b"verify"))
+    assert store.verify_artifact(artifact_id) is None
+    with pytest.raises(ArtifactNotFoundError):
+        store.verify_artifact(hash_content(b"never stored"))
+
+
+def test_verify_artifact_rejects_changed_bytes(store):
+    artifact_id = store.put_artifact(b"original", "text", "n", None)
+    if isinstance(store, MemoryStore):
+        _, meta = store._objects[artifact_id.hex]
+        store._objects[artifact_id.hex] = (b"changed", meta)
+    else:
+        store._object_path(artifact_id.hex).write_bytes(b"changed")
+    with pytest.raises(IntegrityError):
+        store.verify_artifact(artifact_id)
