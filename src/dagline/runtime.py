@@ -77,7 +77,6 @@ from dagline.store import (
     ExecutionStats,
     InputRef,
     check_run_id,
-    prior_record,
     stats_from_doc,
     stats_to_doc,
 )
@@ -366,7 +365,7 @@ class _RunState:
         deterministic = workspace.registry.is_deterministic(spec.executor_kind)
         record = store.lookup_by_identity(identity)
         if record is None:
-            divergence = _divergence(prior_record(store, node_id, identity), identity)
+            divergence = _divergence(store.prior_record(node_id, identity), identity)
             reason = _MISS_REASONS[divergence.partition(":")[0]]
         elif self.mode == REPLAY and deterministic:
             store.verify_artifact(record.canonical_artifact)
@@ -564,7 +563,7 @@ def explain(store: BaseStore, report: RunReport, node_id: str) -> Explanation:
     decision = report.decision_for(node_id)
     divergence = prior_identity = None
     if decision.action == RECOMPUTED and decision.reason != IDENTITY_HIT:
-        prior = prior_record(store, node_id, decision.identity)
+        prior = store.prior_record(node_id, decision.identity)
         divergence = _divergence(prior, decision.identity)
         if prior is not None:
             prior_identity = prior.identity.value.hex

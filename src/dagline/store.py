@@ -8,11 +8,22 @@ same identity is rejected as a determinism violation.
 Two backends share the same semantics: ``FileStore`` persists to a directory
 (``objects/``, ``executions/``, ``runs/``, ``nodes/``) and ``MemoryStore``
 keeps everything in dicts for tests and experiments. ``BaseStore`` holds the
-one ledger index, identity hex to ``ExecutionRecord``, and passes artifact
-metadata as values (``produced_under`` is an ``ExecutionIdentity``); only
-``FileStore`` encodes and decodes the docs/FORMATS.md documents, the ledger
-entry and the artifact sidecar. Writes are serialized by an internal lock;
-concurrent identical writes are idempotent.
+two indexes, the ledger (identity hex to ``ExecutionRecord``) and the node
+histories (node id to an insertion-ordered dict of the identity hexes
+recorded for it; an identity appended twice keeps its first position), and
+passes artifact metadata as values (``produced_under`` is an
+``ExecutionIdentity``); only ``FileStore`` encodes and decodes the
+docs/FORMATS.md documents, the ledger entry and the artifact sidecar, and
+reads and appends the history files. Writes are serialized by an internal
+lock; concurrent identical writes are idempotent.
+
+A handle loads the ledger at open and a node's history on its first use,
+then extends both with its own writes; another handle's writes become
+visible after a reopen. A new record is appended to its node's history
+before its ledger entry is written, so a failure between the two leaves a
+history entry with no record, which every reader skips, and never a record
+that no history names. ``prior_record`` is the one walk over a history: the
+nearest entry before an identity that has a record.
 
 Two reads check an artifact. ``verify_artifact``, what a replay hit costs,
 reads the object's bytes and rehashes them against the artifact id; the
@@ -25,6 +36,7 @@ for both: an empty name, ``.``, ``..``, or one holding ``/`` or NUL.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
@@ -50,6 +62,10 @@ from dagline.identity import (
 
 DEPENDENCY_INPUT = "dependency"
 CONTEXT_INPUT = "context"
+
+# ``_atomic_write`` writes ``<name>.tmp<pid>.<thread>`` and renames it into
+# place; listings skip any name that carries this mark.
+TEMP_MARK = ".tmp"
 
 
 def unsafe_name(name: str) -> bool:
@@ -186,14 +202,16 @@ def record_bytes(record: ExecutionRecord) -> bytes:
 class BaseStore:
     """Semantics shared by both backends; subclasses provide the primitives.
 
-    The ledger index ``_records`` lives here for both backends. Artifact
-    metadata travels as ``{"content_type", "created_at", "producer",
-    "produced_under"}`` with the identity object (or ``None``) as its value.
+    The ledger index ``_records`` and the histories ``_histories`` live here
+    for both backends. Artifact metadata travels as ``{"content_type",
+    "created_at", "producer", "produced_under"}`` with the identity object (or
+    ``None``) as its value.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._records: dict[str, ExecutionRecord] = {}
+        self._histories: dict[str, dict[str, None]] = {}
 
     # -- primitives supplied by subclasses ---------------------------------
     def _has_object(self, hex_id: str) -> bool:
@@ -216,11 +234,16 @@ class BaseStore:
     def _put_record(self, hex_identity: str, record: ExecutionRecord) -> None:
         self._records[hex_identity] = record
 
-    def _node_history(self, node_id: str) -> list[str]:
-        raise NotImplementedError
+    def _load_history(self, node_id: str) -> dict[str, None]:
+        return {}
 
-    def _append_node_history(self, node_id: str, hex_identity: str) -> None:
-        raise NotImplementedError
+    def _append_history(self, node_id: str, hex_identity: str) -> None:
+        self._history(node_id).setdefault(hex_identity)
+
+    def _history(self, node_id: str) -> dict[str, None]:
+        if node_id not in self._histories:
+            self._histories[node_id] = self._load_history(node_id)
+        return self._histories[node_id]
 
     def _write_report(self, run_id: str, payload: bytes) -> None:
         raise NotImplementedError
@@ -281,7 +304,8 @@ class BaseStore:
         """Write a ledger entry; rejects a different record under a known identity.
 
         Identical re-records are accepted and keep the original entry (volatile
-        stats such as elapsed are not part of the determinism comparison).
+        stats such as elapsed are not part of the determinism comparison). A
+        new record enters its node's history before the ledger.
         """
         artifacts = dict.fromkeys((record.canonical_artifact, *record.candidate_artifacts))
         for artifact in artifacts:
@@ -301,8 +325,8 @@ class BaseStore:
                         "this indicates a non-deterministic executor"
                     )
                 return
+            self._append_history(record.node_id, hex_identity)
             self._put_record(hex_identity, record)
-            self._append_node_history(record.node_id, hex_identity)
 
     def lookup_by_identity(
         self, identity: ExecutionIdentity | ContentHash
@@ -316,12 +340,35 @@ class BaseStore:
             yield self._records[hex_identity]
 
     def node_history(self, node_id: str) -> list[ContentHash]:
-        """Identities recorded for a node, oldest first."""
-        return [ContentHash.from_hex(h) for h in self._node_history(node_id)]
+        """Identities recorded for a node, oldest first, each once."""
+        with self._lock:
+            return [ContentHash.from_hex(h) for h in self._history(node_id)]
 
     def latest_record_for_node(self, node_id: str) -> ExecutionRecord | None:
-        history = self._node_history(node_id)
-        return self._records.get(history[-1]) if history else None
+        """The node's newest history entry that has a ledger record."""
+        return self.prior_record(node_id)
+
+    def prior_record(
+        self, node_id: str, identity: ExecutionIdentity | None = None
+    ) -> ExecutionRecord | None:
+        """The nearest history entry before ``identity`` that has a ledger record.
+
+        An identity not in the history, as in a run deciding a miss, or none
+        searches the whole history; so a run's miss reason and a later
+        explanation of that run read the same prior record.
+        """
+        with self._lock:
+            history = self._history(node_id)
+            entries = reversed(history)
+            if identity is not None and identity.value.hex in history:
+                for hex_identity in entries:
+                    if hex_identity == identity.value.hex:
+                        break
+            for hex_identity in entries:
+                record = self._records.get(hex_identity)
+                if record is not None:
+                    return record
+            return None
 
     def records_for_artifact(self, artifact_id: ContentHash) -> list[ExecutionRecord]:
         return [
@@ -338,32 +385,12 @@ class BaseStore:
         return sorted(self._run_ids())
 
 
-def prior_record(
-    store: BaseStore, node_id: str, identity: ExecutionIdentity
-) -> ExecutionRecord | None:
-    """The nearest history entry before ``identity`` that has a ledger record.
-
-    An identity not in the history yet, as in a run deciding a miss, follows
-    the whole history; so a run's miss reason and a later explanation of that
-    run read the same prior record.
-    """
-    history = store._node_history(node_id)
-    current = identity.value.hex
-    end = history.index(current) if current in history else len(history)
-    for hex_identity in reversed(history[:end]):
-        record = store._records.get(hex_identity)
-        if record is not None:
-            return record
-    return None
-
-
 class MemoryStore(BaseStore):
     """Dict-backed store; same contract as FileStore, no persistence."""
 
     def __init__(self) -> None:
         super().__init__()
         self._objects: dict[str, tuple[bytes, dict]] = {}
-        self._history: dict[str, list[str]] = {}
         self._reports: dict[str, bytes] = {}
 
     def _has_object(self, hex_id: str) -> bool:
@@ -383,12 +410,6 @@ class MemoryStore(BaseStore):
 
     def _object_ids(self) -> list[str]:
         return list(self._objects)
-
-    def _node_history(self, node_id: str) -> list[str]:
-        return list(self._history.get(node_id, []))
-
-    def _append_node_history(self, node_id: str, hex_identity: str) -> None:
-        self._history.setdefault(node_id, []).append(hex_identity)
 
     def _write_report(self, run_id: str, payload: bytes) -> None:
         self._reports[run_id] = payload
@@ -415,9 +436,12 @@ class FileStore(BaseStore):
 
     The ledger is append-only; on open every entry is decoded, verified and
     put in BaseStore's index, so a fresh handle sees exactly what was
-    recorded. This class alone encodes and decodes the ledger entries and
-    the sidecars; the rest of the store sees values. Paths on the run path
-    are joined as strings from the directories fixed at open, and a handle
+    recorded. A node's history file is read once per handle, on the node's
+    first use, and a torn last line left by an interrupted append is cut
+    off then. Leftover temp files are never read as entries or objects.
+    This class alone encodes and decodes the ledger entries and the
+    sidecars; the rest of the store sees values. Paths on the run path are
+    joined as strings from the directories fixed at open, and a handle
     creates each object shard directory at most once.
     """
 
@@ -432,10 +456,17 @@ class FileStore(BaseStore):
         self._nodes_dir = os.path.join(base, "nodes")
         self._shards: set[str] = set()  # object shard directories known to exist
         with os.scandir(self._executions_dir) as entries:
-            ledger = sorted((e.name, e.path) for e in entries if e.is_file())
+            ledger = sorted(
+                (e.name, e.path) for e in entries
+                if e.is_file() and TEMP_MARK not in e.name
+            )
         for name, path in ledger:
             with open(path, "rb") as fh:
-                self._records[name] = record_from_doc(json.loads(fh.read()))
+                raw = fh.read()
+            try:
+                self._records[name] = record_from_doc(json.loads(raw))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise StorageError(f"unreadable ledger entry {name}: {exc!r}") from exc
 
     def _object_file(self, hex_id: str) -> str:
         return f"{self._objects_dir}/{hex_id[:2]}/{hex_id[2:]}"
@@ -487,7 +518,7 @@ class FileStore(BaseStore):
             if not shard.is_dir():
                 continue
             for path in shard.iterdir():
-                if not path.name.endswith(".json"):
+                if not path.name.endswith(".json") and TEMP_MARK not in path.name:
                     ids.append(shard.name + path.name)
         return ids
 
@@ -495,16 +526,29 @@ class FileStore(BaseStore):
         _atomic_write(f"{self._executions_dir}/{hex_identity}", record_bytes(record))
         super()._put_record(hex_identity, record)
 
-    def _node_history(self, node_id: str) -> list[str]:
+    def _load_history(self, node_id: str) -> dict[str, None]:
+        path = f"{self._nodes_dir}/{node_id}"
         try:
-            with open(f"{self._nodes_dir}/{node_id}", encoding="utf-8") as fh:
-                return fh.read().split()
+            with open(path, "rb") as fh:
+                raw = fh.read()
+            end = raw.rfind(b"\n") + 1
+            if end < len(raw):  # a torn last line; the ledger never names it
+                os.truncate(path, end)
         except FileNotFoundError:
-            return []
+            return {}
+        except OSError as exc:
+            raise StorageError(f"cannot read history of {node_id!r}: {exc}") from exc
+        return dict.fromkeys(raw[:end].decode().split())
 
-    def _append_node_history(self, node_id: str, hex_identity: str) -> None:
-        with open(f"{self._nodes_dir}/{node_id}", "a", encoding="utf-8") as fh:
-            fh.write(hex_identity + "\n")
+    def _append_history(self, node_id: str, hex_identity: str) -> None:
+        self._history(node_id)  # loaded first, so the line never joins a torn tail
+        try:
+            with open(f"{self._nodes_dir}/{node_id}", "a", encoding="utf-8") as fh:
+                fh.write(hex_identity + "\n")
+        except OSError as exc:
+            del self._histories[node_id]  # reload, and mend the file, on next use
+            raise StorageError(f"cannot append history of {node_id!r}: {exc}") from exc
+        super()._append_history(node_id, hex_identity)
 
     def _write_report(self, run_id: str, payload: bytes) -> None:
         run_dir = self.root / "runs" / run_id
@@ -523,11 +567,13 @@ class FileStore(BaseStore):
 
 
 def _atomic_write(path: str | Path, payload: bytes) -> None:
-    tmp = f"{path}.tmp{os.getpid()}.{threading.get_ident()}"
+    tmp = f"{path}{TEMP_MARK}{os.getpid()}.{threading.get_ident()}"
     try:
         with open(tmp, "wb") as fh:
             fh.write(payload)
         os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
         raise StorageError(f"write failed for {path}: {exc}") from exc
 

@@ -4,13 +4,23 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
+import tempfile
 import threading
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from dagline.errors import ArtifactNotFoundError, IdentityConflictError, IntegrityError
+from dagline.errors import (
+    ArtifactNotFoundError,
+    IdentityConflictError,
+    IntegrityError,
+    StorageError,
+)
 from dagline.identity import compute_execution_identity, hash_content
 from dagline.store import (
+    TEMP_MARK,
     ExecutionRecord,
     ExecutionStats,
     FileStore,
@@ -304,3 +314,230 @@ def test_verify_artifact_rejects_changed_bytes(store):
         store._object_path(artifact_id.hex).write_bytes(b"changed")
     with pytest.raises(IntegrityError):
         store.verify_artifact(artifact_id)
+
+
+# -- the node-history index ----------------------------------------------------
+
+_history_reads: list[str] | None = None  # set while a test counts history reads
+
+
+def _count_history_reads(event: str, args: tuple) -> None:
+    if event == "open" and _history_reads is not None:
+        path, mode = str(args[0]), args[1]
+        if "/nodes/" in path and mode in ("r", "rb"):
+            _history_reads.append(path)
+
+
+sys.addaudithook(_count_history_reads)
+
+
+def test_file_store_reads_each_history_once_per_handle(tmp_path):
+    from dagline.graph import CONTEXT_EDIT, EditEvent
+    from dagline.runtime import REPLAY, apply_edit, run
+
+    from conftest import diamond_graph, workspace_for
+
+    global _history_reads
+    workspace = dataclasses.replace(
+        workspace_for(diamond_graph()), store=FileStore(tmp_path / "store")
+    )
+    run(workspace, REPLAY)
+    workspace = dataclasses.replace(workspace, store=FileStore(tmp_path / "store"))
+    _history_reads = []
+    try:
+        edited, _ = apply_edit(
+            workspace, EditEvent(CONTEXT_EDIT, "a", b"revised", port="raw")
+        )
+        run(edited, REPLAY)  # every node misses
+        store = workspace.store
+        for node_id in workspace.graph.nodes:
+            for _ in range(3):
+                first = store.lookup_by_identity(store.node_history(node_id)[0])
+                store.prior_record(node_id, first.identity)
+                store.latest_record_for_node(node_id)
+        reads = sorted(_history_reads)
+    finally:
+        _history_reads = None
+    assert reads == sorted(f"{store._nodes_dir}/{n}" for n in workspace.graph.nodes)
+
+
+def _reference_prior(history: list[str], recorded: set[str], current: str | None):
+    """The slice-and-walk rule: nearest recorded entry before ``current``."""
+    end = history.index(current) if current in history else len(history)
+    for hex_identity in reversed(history[:end]):
+        if hex_identity in recorded:
+            return hex_identity
+    return None
+
+
+@seed(20261019)
+@settings(max_examples=40, deadline=None)
+@given(ops=st.lists(st.tuples(st.integers(0, 4), st.booleans()), max_size=12))
+def test_prior_record_follows_the_slice_and_walk_rule(ops):
+    """Histories with unrecorded entries (an append whose ledger write
+    failed) and duplicates; an identity keeps its first position."""
+    with tempfile.TemporaryDirectory() as root:
+        stores = [MemoryStore(), FileStore(root)]
+        for store in stores:
+            for tag, recorded in ops:
+                record = record_for(store, bytes([tag]), b"out-%d" % tag)
+                if recorded:
+                    store.record_execution(record)
+                else:
+                    store._append_history("node", record.identity.value.hex)
+        stores.append(FileStore(root))  # the duplicates on disk load alike
+        appended, recorded = [], set()
+        for tag, is_recorded in ops:
+            hex_identity = identity_for(bytes([tag])).value.hex
+            if hex_identity not in recorded:
+                appended.append(hex_identity)
+            if is_recorded:
+                recorded.add(hex_identity)
+        history = list(dict.fromkeys(appended))
+        for store in stores:
+            assert [h.hex for h in store.node_history("node")] == history
+            for tag in range(6):  # tag 5 is never appended
+                identity = identity_for(bytes([tag]))
+                found = store.prior_record("node", identity)
+                expected = _reference_prior(history, recorded, identity.value.hex)
+                assert (found and found.identity.value.hex) == expected
+            latest = store.latest_record_for_node("node")
+            assert (latest and latest.identity.value.hex) == \
+                _reference_prior(history, recorded, None)
+
+
+def test_latest_record_skips_a_newest_entry_with_no_record(store):
+    record = record_for(store, b"kept", b"kept output")
+    store.record_execution(record)
+    store._append_history("node", identity_for(b"unrecorded").value.hex)
+    assert store.latest_record_for_node("node") == record
+
+
+# -- crash leftovers: temp files and torn history lines -------------------------
+
+def _four_records(root):
+    store = FileStore(root)
+    for i in range(4):
+        store.record_execution(record_for(store, bytes([i]), b"content-%d" % i))
+    return store
+
+
+def test_reopen_skips_partial_and_complete_ledger_temp_files(tmp_path):
+    root = tmp_path / "store"
+    store = _four_records(root)
+    record = next(store.records())
+    executions = root / "executions"
+    partial = executions / f"{record.identity.value.hex}{TEMP_MARK}123.456"
+    partial.write_bytes(record_bytes(record)[:40])
+    complete = executions / f"{'ab' * 32}{TEMP_MARK}123.789"
+    complete.write_bytes(record_bytes(record))
+    assert len(list(FileStore(root).records())) == 4
+
+
+def test_artifact_count_skips_shard_temp_files(tmp_path):
+    store = _four_records(tmp_path / "store")
+    assert store.artifact_count() == 4
+    hex_id = next(store.records()).canonical_artifact.hex
+    shard = store.root / "objects" / hex_id[:2]
+    (shard / f"{hex_id[2:]}{TEMP_MARK}1.2").write_bytes(b"par")
+    (shard / f"{hex_id[2:]}.json{TEMP_MARK}1.2").write_bytes(b"{")
+    assert store.artifact_count() == 4
+
+
+def test_undecodable_ledger_entry_fails_reopen_with_its_name(tmp_path):
+    root = tmp_path / "store"
+    _four_records(root)
+    (root / "executions" / ("cd" * 32)).write_bytes(b'{"node_id": ')
+    with pytest.raises(StorageError, match="cd" * 32):
+        FileStore(root)
+
+
+def test_failed_atomic_write_leaves_no_temp_file(tmp_path):
+    from dagline.store import _atomic_write
+
+    target = tmp_path / "target"
+    (target / "occupied").mkdir(parents=True)  # a rename onto it fails
+    with pytest.raises(StorageError):
+        _atomic_write(target, b"payload")
+    assert [p.name for p in tmp_path.iterdir()] == ["target"]
+
+
+def test_torn_history_line_is_cut_off_before_the_next_append(tmp_path):
+    root = tmp_path / "store"
+    store = FileStore(root)
+    first = record_for(store, b"first", b"first output")
+    store.record_execution(first)
+    history_file = root / "nodes" / "node"
+    with open(history_file, "a") as fh:
+        fh.write(identity_for(b"torn").value.hex[:20])
+    reopened = FileStore(root)
+    second = record_for(reopened, b"second", b"second output")
+    reopened.record_execution(second)
+    assert reopened.node_history("node") == [first.identity.value, second.identity.value]
+    assert history_file.read_text() == \
+        f"{first.identity.value.hex}\n{second.identity.value.hex}\n"
+    assert FileStore(root).node_history("node") == reopened.node_history("node")
+
+
+def test_failed_append_is_mended_by_the_same_handle(tmp_path, monkeypatch):
+    import builtins
+
+    import dagline.store
+
+    store = FileStore(tmp_path / "store")
+    first = record_for(store, b"first", b"first output")
+    store.record_execution(first)
+    second = record_for(store, b"second", b"second output")
+
+    def torn_append(path, mode="r", *args, **kwargs):
+        fh = builtins.open(path, mode, *args, **kwargs)
+        if mode == "a":  # half the line lands, then the disk fills
+            with fh:
+                fh.write(second.identity.value.hex[:20])
+            raise OSError("injected: no space left on device")
+        return fh
+
+    monkeypatch.setattr(dagline.store, "open", torn_append, raising=False)
+    with pytest.raises(StorageError, match="injected"):
+        store.record_execution(second)
+    monkeypatch.undo()
+    store.record_execution(second)
+    expected = [first.identity.value, second.identity.value]
+    assert store.node_history("node") == expected
+    assert FileStore(tmp_path / "store").node_history("node") == expected
+
+
+def test_history_readers_beside_concurrent_writers(store):
+    """Writers grow one node's history while readers walk it."""
+    records = [record_for(store, b"stress-%d" % i, b"out-%d" % i) for i in range(200)]
+    errors = []
+
+    def write(part: list) -> None:
+        try:
+            for record in part:
+                store.record_execution(record)
+        except Exception as exc:  # pragma: no cover - failure reporting
+            errors.append(exc)
+
+    def read() -> None:
+        try:
+            for record in records:
+                store.prior_record("node", record.identity)
+                store.node_history("node")
+        except Exception as exc:  # pragma: no cover - failure reporting
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=write, args=(records[i::4],)) for i in range(4)]
+        threads += [threading.Thread(target=read) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(store.node_history("node")) == len(records)
