@@ -84,7 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--context", type=Path, required=True,
                    help="directory of context files laid out as <node>/<port>")
     p.add_argument("--mode", choices=["replay", "full"], default=REPLAY)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("edit", help="record an edit; the next run picks it up")
@@ -223,7 +222,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     store = _open_store(args)
     workspace = _load_workspace(args, store, _read_edit_log(store))
     try:
-        report = run(workspace, args.mode, workers=args.workers)
+        report = run(workspace, args.mode)
     except DaglineError as exc:
         partial = getattr(exc, "partial_report", None)
         if partial is not None:

@@ -8,19 +8,17 @@ of recomputed. Edits move identities, and only the edited node's descendants
 can see the difference, which is what scopes recomputation.
 
 One driver schedules every run from a ready queue of nodes whose producers
-have all published, with three pop policies: the least topological rank,
-executed inline (the default, exactly ``topological_order``); a seeded
-random choice (``schedule_rng``); or the least rank into a thread pool
-(``workers > 1``). Replays and pins release their consumers at once.
-Workers receive fully resolved state and share nothing mutable, so
-published artifacts are schedule-independent.
+have all published, with two pop policies: the least topological rank (the
+default, exactly ``topological_order``) or a seeded random choice
+(``schedule_rng``). Every node is settled inline, so a replay or a pin
+releases its consumers at once and published artifacts are
+schedule-independent.
 
-``decide`` is the one place a node is settled. A hit or a pin finishes
+``settle`` is the one place a node is decided. A hit or a pin finishes
 there; a hit costs one read of the stored bytes, rehashed against the
-recorded artifact id (``verify_artifact``). A miss becomes one value
-holding the spec, the identity, the miss reason, whether the execution is
-recorded, and the resolved local state. The driver executes that value
-and ``finalize`` only publishes it. The miss reason names the identity
+recorded artifact id (``verify_artifact``). A miss resolves the node's
+local state, executes it and publishes its artifact and, if the executor
+is deterministic, its ledger entry. The miss reason names the identity
 component that moved since the node's prior record (``prior_record``), the
 same rule ``explain`` applies to any earlier run.
 """
@@ -31,7 +29,6 @@ import heapq
 import random
 import time
 import uuid
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -45,7 +42,6 @@ from dagline.errors import (
 )
 from dagline.executors import (
     ExecutorRegistry,
-    NodeResult,
     ResolvedLocalState,
     default_registry,
     execute,
@@ -55,7 +51,6 @@ from dagline.graph import (
     CONTEXT_EDIT,
     ContextBinding,
     EditEvent,
-    NodeSpec,
     WorkflowGraph,
     descendants,
     topological_order,
@@ -303,23 +298,15 @@ def apply_edit(workspace: Workspace, edit: EditEvent) -> tuple[Workspace, frozen
     raise UnknownTargetError(f"unknown edit kind {edit.kind!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class _Miss:
-    """A node ``decide`` could not settle: all that executing and publishing it need."""
-
-    node_id: str
-    spec: NodeSpec
-    identity: ExecutionIdentity
-    reason: str
-    recorded: bool  # deterministic, so the execution enters the ledger
-    local: ResolvedLocalState
-
-
 class _RunState:
-    """Mutable bookkeeping for one run; touched only by the driving thread.
+    """Mutable bookkeeping for one run.
 
     ``ready`` holds the ranks, into the graph's topological order, of the
-    nodes whose producers have all published; it is a heap.
+    nodes whose producers have all published. Under the default schedule
+    it is a heap. Under a seeded schedule it is an unordered list: a pop
+    swaps a uniformly drawn slot to the end and takes it. ``_finish`` still
+    adds with ``heappush``; on an unordered list its sift only reorders
+    entries, which a uniform draw ignores.
     """
 
     def __init__(self, workspace: Workspace, mode: str) -> None:
@@ -334,17 +321,16 @@ class _RunState:
         self.ready = [r for r, count in enumerate(self._waiting) if count == 0]
 
     def pop_ready(self, schedule_rng: random.Random | None) -> str:
-        """Take the least-rank ready node, or a seeded choice among ready ids."""
-        order = self._kahn.order
+        """Take the least-rank ready node, or a seeded uniform choice among them."""
+        ready = self.ready
         if schedule_rng is None:
-            return order[heapq.heappop(self.ready)]
-        rank = schedule_rng.choice(sorted(self.ready, key=order.__getitem__))
-        self.ready.remove(rank)
-        heapq.heapify(self.ready)
-        return order[rank]
+            return self._kahn.order[heapq.heappop(ready)]
+        i = schedule_rng.randrange(len(ready))
+        ready[i], ready[-1] = ready[-1], ready[i]
+        return self._kahn.order[ready.pop()]
 
-    def decide(self, node_id: str) -> _Miss | None:
-        """Settle a replay or a pin at once; return the miss if the node must execute."""
+    def settle(self, node_id: str) -> None:
+        """Replay, pin or execute one node and publish its decision."""
         workspace = self.workspace
         store = workspace.store
         spec = workspace.graph.node(node_id)
@@ -360,7 +346,7 @@ class _RunState:
                 node_id=node_id, identity=identity, action=PINNED,
                 reason=OVERRIDE, artifact_id=override,
             ))
-            return None
+            return
 
         deterministic = workspace.registry.is_deterministic(spec.executor_kind)
         record = store.lookup_by_identity(identity)
@@ -375,27 +361,24 @@ class _RunState:
                 node_id=node_id, identity=record.identity, action=REPLAYED,
                 reason=IDENTITY_HIT, artifact_id=record.canonical_artifact,
             ))
-            return None
+            return
         else:
             reason = IDENTITY_HIT  # full-mode recompute over a warm ledger
         local = resolve_local_state(workspace, node_id, self.published)
-        return _Miss(node_id, spec, identity, reason, deterministic, local)
+        result = execute(spec, local, workspace.registry)
 
-    def finalize(self, miss: _Miss, result: NodeResult) -> None:
-        """Publish an executed node's output and, if it is recorded, its ledger entry."""
-        store = self.workspace.store
         content, content_type = result.canonical_output
-        canonical_id = store.put_artifact(content, content_type, miss.node_id, miss.identity)
-        if miss.recorded:
+        canonical_id = store.put_artifact(content, content_type, node_id, identity)
+        if deterministic:
             surface = {
                 b.port: InputRef(CONTEXT_INPUT, b.content_hash)
-                for b in miss.local.context_entries
+                for b in local.context_entries
             }
-            for port, artifact in miss.local.dependency_artifacts.items():
+            for port, artifact in local.dependency_artifacts.items():
                 surface[port] = InputRef(DEPENDENCY_INPUT, artifact.artifact_id)
             store.record_execution(ExecutionRecord(
-                identity=miss.identity,
-                node_id=miss.node_id,
+                identity=identity,
+                node_id=node_id,
                 canonical_artifact=canonical_id,
                 candidate_artifacts=(canonical_id,),
                 input_surface=surface,
@@ -403,9 +386,9 @@ class _RunState:
             ))
 
         self.totals = self.totals + result.stats
-        self._finish(miss.node_id, NodeDecision(
-            node_id=miss.node_id, identity=miss.identity, action=RECOMPUTED,
-            reason=miss.reason, artifact_id=canonical_id,
+        self._finish(node_id, NodeDecision(
+            node_id=node_id, identity=identity, action=RECOMPUTED,
+            reason=reason, artifact_id=canonical_id,
         ))
 
     def _finish(self, node_id: str, decision: NodeDecision) -> None:
@@ -444,17 +427,15 @@ def run(
     mode: str = REPLAY,
     *,
     run_id: str | None = None,
-    workers: int = 1,
     schedule_rng: random.Random | None = None,
 ) -> RunReport:
     """Execute the workspace and persist a run report.
 
     ``replay`` restores ledger hits; ``full`` re-executes everything (the
-    ledger then re-verifies determinism via idempotent re-records). With
-    ``workers > 1`` ready nodes execute concurrently; ``schedule_rng``
-    randomizes the processing order instead. Any schedule publishes
-    identical artifacts and the decision list is always reported in
-    topological order. A given ``run_id`` must name a run directory
+    ledger then re-verifies determinism via idempotent re-records).
+    ``schedule_rng`` randomizes the processing order; any schedule
+    publishes identical artifacts and the decision list is always reported
+    in topological order. A given ``run_id`` must name a run directory
     (``check_run_id``); it is checked before any node runs.
     """
     if mode not in (FULL, REPLAY):
@@ -478,7 +459,8 @@ def run(
 
     failure: ExecutorFailureError | None = None
     try:
-        _drive(state, workers, schedule_rng)
+        while state.ready:
+            state.settle(state.pop_ready(schedule_rng))
     except ExecutorFailureError as exc:
         failure = exc
 
@@ -497,36 +479,6 @@ def run(
         failure.partial_report = report  # type: ignore[attr-defined]
         raise failure
     return report
-
-
-def _drive(state: _RunState, workers: int, schedule_rng: random.Random | None) -> None:
-    """Decide every ready node; execute misses inline or, with workers, in a pool.
-
-    Finished futures are finalized in node-id order, so one batch of
-    completions always publishes in the same sequence.
-    """
-    registry = state.workspace.registry
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    in_flight: dict[Future, _Miss] = {}
-    try:
-        while state.ready or in_flight:
-            while state.ready:
-                miss = state.decide(state.pop_ready(schedule_rng))
-                if miss is None:
-                    continue  # replayed or pinned; its consumers are ready now
-                if pool is None:
-                    state.finalize(miss, execute(miss.spec, miss.local, registry))
-                else:
-                    in_flight[pool.submit(execute, miss.spec, miss.local, registry)] = miss
-            if in_flight:
-                done, _ = wait(in_flight, return_when=FIRST_COMPLETED)
-                for future in sorted(done, key=lambda f: in_flight[f].node_id):
-                    state.finalize(in_flight.pop(future), future.result())
-    finally:
-        if pool is not None:
-            for future in in_flight:
-                future.cancel()
-            pool.shutdown()
 
 
 @dataclass(frozen=True, slots=True)

@@ -434,11 +434,12 @@ class FileStore(BaseStore):
         nodes/<node id>                 newline-separated identity history
         runs/<run id>/report            canonical-JSON run report
 
-    The ledger is append-only; on open every entry is decoded, verified and
-    put in BaseStore's index, so a fresh handle sees exactly what was
-    recorded. A node's history file is read once per handle, on the node's
-    first use, and a torn last line left by an interrupted append is cut
-    off then. Leftover temp files are never read as entries or objects.
+    The ledger is append-only; on open every entry is decoded, verified
+    (also against its file name) and put in BaseStore's index, so a fresh
+    handle sees exactly what was recorded. A node's history file is read
+    once per handle, on the node's first use, and a torn last line left by
+    an interrupted append is cut off then. Leftover temp files are never
+    read as entries or objects, and a run without its report is not listed.
     This class alone encodes and decodes the ledger entries and the
     sidecars; the rest of the store sees values. Paths on the run path are
     joined as strings from the directories fixed at open, and a handle
@@ -464,9 +465,14 @@ class FileStore(BaseStore):
             with open(path, "rb") as fh:
                 raw = fh.read()
             try:
-                self._records[name] = record_from_doc(json.loads(raw))
+                record = record_from_doc(json.loads(raw))
             except (ValueError, KeyError, TypeError) as exc:
                 raise StorageError(f"unreadable ledger entry {name}: {exc!r}") from exc
+            if record.identity.value.hex != name:
+                raise IntegrityError(
+                    f"ledger entry {name} holds identity {record.identity.value.hex}"
+                )
+            self._records[name] = record
 
     def _object_file(self, hex_id: str) -> str:
         return f"{self._objects_dir}/{hex_id[:2]}/{hex_id[2:]}"
@@ -563,7 +569,8 @@ class FileStore(BaseStore):
             raise StorageError(f"no run report {run_id!r}") from None
 
     def _run_ids(self) -> list[str]:
-        return [p.name for p in (self.root / "runs").iterdir() if p.is_dir()]
+        # A run exists once its report does; a crash mid-write leaves only a temp file.
+        return [p.name for p in (self.root / "runs").iterdir() if (p / "report").is_file()]
 
 
 def _atomic_write(path: str | Path, payload: bytes) -> None:

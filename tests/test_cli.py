@@ -9,7 +9,7 @@ import pytest
 from dagline.cli import main
 from dagline.graph import ContextBinding, Edge, NodeSpec, PortDecl, WorkflowGraph
 from dagline.runtime import FULL, Workspace, run
-from dagline.store import FileStore
+from dagline.store import TEMP_MARK, FileStore
 
 MANIFEST = {
     "nodes": [
@@ -263,6 +263,23 @@ class TestLineageExplainDiff:
         assert invoke("explain", "--store", project["store"],
                       "--node", "digest", "--run", "nope") == 1
         assert invoke("lineage", "--store", project["store"], "--node", "ghost") == 1
+
+    def test_run_without_a_report_is_not_listed(self, tmp_path, capsys):
+        store_dir = tmp_path / "store"
+        graph = WorkflowGraph(
+            [source("src"), NodeSpec("out", "passthrough", {}, (PortDecl("up", "text"),))],
+            [Edge("src", "out", "up")],
+        )
+        context = {("src", "raw"): ContextBinding("raw", b"source MARK:SRC\n")}
+        run(Workspace(graph=graph, context=context, store=FileStore(store_dir)), FULL,
+            run_id="0001")
+        # A crash while writing the second run's report leaves only its temp file.
+        crashed = store_dir / "runs" / "0002"
+        crashed.mkdir()
+        (crashed / f"report{TEMP_MARK}123.456").write_bytes(b'{"decisions": [')
+        assert FileStore(store_dir).list_runs() == ["0001"]
+        assert invoke("explain", "--store", str(store_dir), "--node", "out") == 0
+        assert "action: recomputed" in capsys.readouterr().out
 
 
 def run_into_store(store_dir, nodes, edges) -> None:

@@ -138,11 +138,10 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("schedule", ["default", "workers", "rng"])
+@pytest.mark.parametrize("schedule", ["default", "rng"])
 def test_store_bytes_match_golden(tmp_path, schedule):
     kwargs = {
         "default": {},
-        "workers": {"workers": 3},
         "rng": {"schedule_rng": random.Random(7)},
     }[schedule]
     assert run_golden_session(tmp_path / "store", **kwargs) == GOLDEN

@@ -383,10 +383,7 @@ class TestSchedulingIndependence:
         base_bytes = None
         for trial in range(4):
             fresh = replace(workspace, store=MemoryStore())
-            if trial % 2 == 0:
-                report = run(fresh, FULL, schedule_rng=random.Random(trial))
-            else:
-                report = run(fresh, FULL, workers=4)
+            report = run(fresh, FULL, schedule_rng=random.Random(trial))
             assert {n: h.hex for n, h in report.final_artifacts.items()} == \
                 {n: h.hex for n, h in baseline.final_artifacts.items()}
             assert report.decisions == baseline.decisions

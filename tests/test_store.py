@@ -18,7 +18,9 @@ from dagline.errors import (
     IntegrityError,
     StorageError,
 )
+from dagline.graph import WorkflowGraph
 from dagline.identity import compute_execution_identity, hash_content
+from dagline.runtime import FULL, run
 from dagline.store import (
     TEMP_MARK,
     ExecutionRecord,
@@ -29,6 +31,8 @@ from dagline.store import (
     record_bytes,
     record_from_doc,
 )
+
+from conftest import source_node, workspace_for
 
 ABC_SHA = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
 
@@ -449,6 +453,18 @@ def test_undecodable_ledger_entry_fails_reopen_with_its_name(tmp_path):
     _four_records(root)
     (root / "executions" / ("cd" * 32)).write_bytes(b'{"node_id": ')
     with pytest.raises(StorageError, match="cd" * 32):
+        FileStore(root)
+
+
+def test_ledger_entry_under_another_name_fails_reopen(tmp_path):
+    root = tmp_path / "store"
+    graph = WorkflowGraph([source_node("a"), source_node("b")], [])
+    workspace = dataclasses.replace(workspace_for(graph), store=FileStore(root))
+    report = run(workspace, FULL)
+    a, b = (report.decision_for(n).identity.value.hex for n in ("a", "b"))
+    executions = root / "executions"
+    (executions / b).write_bytes((executions / a).read_bytes())
+    with pytest.raises(IntegrityError, match=b):
         FileStore(root)
 
 
