@@ -31,6 +31,7 @@ from dagline.identity import (
 )
 from dagline.manifest import load_manifest, parse_manifest, render_manifest
 from dagline.executors import (
+    DependencyInput,
     ExecutorRegistry,
     NodeResult,
     ResolvedLocalState,
@@ -66,6 +67,7 @@ __all__ = [
     "ContentHash",
     "ContextBinding",
     "DaglineError",
+    "DependencyInput",
     "Edge",
     "EditEvent",
     "ExecutionIdentity",

@@ -202,7 +202,7 @@ def _load_workspace(args: argparse.Namespace, store: FileStore, edit_log: list[d
                 )
     for (node_id, name), artifact_id in context_edits.items():
         port = graph.node(node_id).context_port(name)
-        content = store.get_artifact(artifact_id).content
+        content = store.read_artifact(artifact_id)
         context[(node_id, name)] = ContextBinding(name, content, port.artifact_type)
     return Workspace(graph=graph, context=context, overrides=overrides, store=store)
 

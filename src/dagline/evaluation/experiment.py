@@ -144,7 +144,7 @@ def run_condition(
     if condition == DAG_REPLAY:
         report = run(edited, REPLAY, run_id=f"update-{task}-{seed}")
         post_state = {
-            node: edited.store.get_artifact(artifact).content
+            node: edited.store.read_artifact(artifact)
             for node, artifact in report.final_artifacts.items()
         }
         stats = replace(report.totals, elapsed=report.elapsed)
@@ -156,7 +156,7 @@ def run_condition(
     post_state = dict(scenario.pre_state)
     post_state[scenario.final_node] = result.canonical_output[0]
     for node_id, artifact_id in edited.overrides.items():
-        post_state[node_id] = edited.store.get_artifact(artifact_id).content
+        post_state[node_id] = edited.store.read_artifact(artifact_id)
     return compute_metrics(scenario, scenario.pre_state, post_state, result.stats)
 
 

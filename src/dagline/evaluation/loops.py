@@ -42,7 +42,7 @@ def loop_state_for(scenario: Scenario, edited_workspace: Workspace) -> LoopState
     for (node_id, port), binding in sorted(edited_workspace.context.items()):
         bundle.append((f"{node_id}:{port}", binding.content))
     for node_id, artifact_id in sorted(edited_workspace.overrides.items()):
-        content = edited_workspace.store.get_artifact(artifact_id).content
+        content = edited_workspace.store.read_artifact(artifact_id)
         bundle.append((f"{node_id}:artifact", content))
     return LoopState(
         prior_final=scenario.prior_final,

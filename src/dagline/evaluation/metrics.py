@@ -139,13 +139,14 @@ def compute_metrics(
         else 0.0
     )
 
-    if scenario.propagation_set:
+    propagation = scenario.propagation_set
+    if propagation:
         reached = sum(
             1
-            for n in scenario.propagation_set
+            for n in propagation
             if _contains_any(post_state[n], scenario.propagation_markers)
         )
-        propagation_recall = reached / len(scenario.propagation_set)
+        propagation_recall = reached / len(propagation)
     else:
         propagation_recall = 1.0
 
@@ -156,9 +157,7 @@ def compute_metrics(
     else:
         upstream_churn = 0.0
 
-    unaffected = (
-        frozenset(graph.nodes) - scenario.propagation_set - {scenario.edit.node_id}
-    )
+    unaffected = frozenset(graph.nodes) - propagation - {scenario.edit.node_id}
     unaffected_preservation = _fraction_preserved(unaffected, pre_state, post_state)
 
     # Consistency: the final output and every maintained artifact downstream

@@ -15,7 +15,7 @@ measure runtime behavior against structural ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 from dagline.errors import DaglineError
 from dagline.evaluation.corpus import Fragment, build_corpus
@@ -132,31 +132,32 @@ class Scenario:
     """One task instance: the baseline workspace, the edit, and its label sets.
 
     ``workspace`` has run once (its store holds the baseline) and
-    ``pre_state`` is that run's bytes per node. ``propagation_set`` is the
-    edit target's descendants and ``stable_set`` every other node but the
-    target. The markers and the two node names are what the metrics look
-    for in the post-update bytes.
+    ``pre_state`` is that run's bytes per node. The label sets are derived
+    from the graph: ``propagation_set`` is the edit target's descendants and
+    ``stable_set`` every other node but the target. The markers and the two
+    node names are what the metrics look for in the post-update bytes.
     """
+
+    final_node: ClassVar[str] = FINAL_NODE
+    criteria_node: ClassVar[str] = CRITERIA_NODE
 
     name: str
     workspace: Workspace
     edit: EditEvent
-    stable_set: frozenset[str]
-    propagation_set: frozenset[str]
     contamination_markers: tuple[str, ...]
     constraint_marker: str | None
-    final_node: str
-    criteria_node: str
     criteria_version_marker: str
     propagation_markers: tuple[str, ...]
     pre_state: Mapping[str, bytes]
 
-    def __post_init__(self) -> None:
-        if self.stable_set & self.propagation_set:
-            raise DaglineError("stable and propagation sets overlap")
-        derived = descendants(self.workspace.graph, {self.edit.node_id})
-        if derived != self.propagation_set:
-            raise DaglineError("propagation set must equal the edit target's descendants")
+    @property
+    def propagation_set(self) -> frozenset[str]:
+        return descendants(self.workspace.graph, {self.edit.node_id})
+
+    @property
+    def stable_set(self) -> frozenset[str]:
+        graph = self.workspace.graph
+        return frozenset(graph.nodes) - self.propagation_set - {self.edit.node_id}
 
     @property
     def prior_final(self) -> bytes:
@@ -198,7 +199,7 @@ def build_scenario(
     workspace = Workspace(graph=graph, context=context, store=MemoryStore())
     baseline = run(workspace, REPLAY, run_id=f"baseline-{name}-{seed}")
     pre_state = {
-        node: workspace.store.get_artifact(artifact).content
+        node: workspace.store.read_artifact(artifact)
         for node, artifact in baseline.final_artifacts.items()
     }
 
@@ -237,19 +238,12 @@ def build_scenario(
         criteria_version_marker = CONSTRAINT_MARKER
         propagation_markers = (CONSTRAINT_MARKER,)
 
-    propagation_set = descendants(graph, {edit.node_id})
-    stable_set = frozenset(graph.nodes) - propagation_set - {edit.node_id}
-
     return Scenario(
         name=name,
         workspace=workspace,
         edit=edit,
-        stable_set=stable_set,
-        propagation_set=propagation_set,
         contamination_markers=tuple(contamination),
         constraint_marker=constraint_marker,
-        final_node=FINAL_NODE,
-        criteria_node=CRITERIA_NODE,
         criteria_version_marker=criteria_version_marker,
         propagation_markers=propagation_markers,
         pre_state=pre_state,

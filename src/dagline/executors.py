@@ -18,7 +18,7 @@ import hashlib
 import re
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from dagline.errors import (
     ContractViolationError,
@@ -28,8 +28,8 @@ from dagline.errors import (
     UnknownExecutorError,
 )
 from dagline.graph import ContextBinding, NodeSpec
-from dagline.identity import ContentHash, canonical_json_bytes, hash_content
-from dagline.store import ArtifactRecord, ExecutionStats
+from dagline.identity import ContentHash, _plain, canonical_json_bytes, hash_content
+from dagline.store import ExecutionStats
 
 MARKER_PATTERN = re.compile(rb"MARK:[A-Z0-9_.-]+(?::[A-Z0-9_.-]+)*")
 
@@ -37,17 +37,26 @@ SYNTHESIS = "synthesis"
 PASSTHROUGH = "passthrough"
 
 
+class DependencyInput(NamedTuple):
+    """One dependency port's input: the producer's artifact id and its bytes."""
+
+    artifact_id: ContentHash
+    content: bytes
+
+
 @dataclass(slots=True)
 class ResolvedLocalState:
     """Everything a node may see while executing.
 
-    Context entries and dependency artifacts are inherited and immutable.
+    Context entries and dependency inputs are inherited and immutable. A
+    dependency input is the artifact id and the bytes the store checked
+    against it; its provenance is not part of what an executor sees.
     Executors must not consume ports the spec never declared; ``execute``
     enforces it.
     """
 
     context_entries: tuple[ContextBinding, ...] = ()
-    dependency_artifacts: Mapping[str, ArtifactRecord] = field(default_factory=dict)
+    dependency_artifacts: Mapping[str, DependencyInput] = field(default_factory=dict)
 
     def input_surface(self) -> list[tuple[str, ContentHash, bytes]]:
         """(port, content hash, bytes) for every input, sorted by port name.
@@ -125,11 +134,8 @@ def extract_markers(content: bytes) -> list[str]:
 
 
 def config_digest(spec: NodeSpec) -> str:
-    return hash_content(canonical_json_bytes(_jsonable(spec.config))).hex
-
-
-def _jsonable(config: Mapping[str, object]) -> dict:
-    return {str(k): v for k, v in sorted(config.items())}
+    """SHA-256 of the config, normalised as the spec hash normalises it."""
+    return hash_content(canonical_json_bytes(_plain(spec.config))).hex
 
 
 def synthesize(spec: NodeSpec, state: ResolvedLocalState) -> NodeResult:

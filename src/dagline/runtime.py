@@ -16,9 +16,10 @@ schedule-independent.
 
 ``settle`` is the one place a node is decided. A hit or a pin finishes
 there; a hit costs one read of the stored bytes, rehashed against the
-recorded artifact id (``verify_artifact``). A miss resolves the node's
-local state, executes it and publishes its artifact and, if the executor
-is deterministic, its ledger entry. The miss reason names the identity
+recorded artifact id (``read_artifact``). A miss resolves the node's
+local state, reading each dependency through that same check and no
+sidecar, executes it and publishes its artifact and, if the executor is
+deterministic, its ledger entry. The miss reason names the identity
 component that moved since the node's prior record (``prior_record``), the
 same rule ``explain`` applies to any earlier run.
 """
@@ -41,6 +42,7 @@ from dagline.errors import (
     UnknownTargetError,
 )
 from dagline.executors import (
+    DependencyInput,
     ExecutorRegistry,
     ResolvedLocalState,
     default_registry,
@@ -235,12 +237,11 @@ def resolve_local_state(
 ) -> ResolvedLocalState:
     """Materialize exactly what one node may see: its declared ports, nothing else."""
     bindings, producers = _resolve_ports(workspace, node_id, published)
+    read = workspace.store.read_artifact
+    artifacts = {port: published[producer] for port, producer in producers.items()}
     return ResolvedLocalState(
         context_entries=tuple(bindings),
-        dependency_artifacts={
-            port: workspace.store.get_artifact(published[producer])
-            for port, producer in producers.items()
-        },
+        dependency_artifacts={p: DependencyInput(a, read(a)) for p, a in artifacts.items()},
     )
 
 
@@ -354,7 +355,7 @@ class _RunState:
             divergence = _divergence(store.prior_record(node_id, identity), identity)
             reason = _MISS_REASONS[divergence.partition(":")[0]]
         elif self.mode == REPLAY and deterministic:
-            store.verify_artifact(record.canonical_artifact)
+            store.read_artifact(record.canonical_artifact)
             # The ledger's identity equals the one just computed; keeping it
             # frees the new one at once, so a hit leaves only its decision.
             self._finish(node_id, NodeDecision(

@@ -25,10 +25,11 @@ history entry with no record, which every reader skips, and never a record
 that no history names. ``prior_record`` is the one walk over a history: the
 nearest entry before an identity that has a record.
 
-Two reads check an artifact. ``verify_artifact``, what a replay hit costs,
-reads the object's bytes and rehashes them against the artifact id; the
-sidecar is not read. ``get_artifact`` also reads the sidecar and checks the
-``produced_under`` identity it holds against its parts.
+``read_artifact`` is the one checked read of stored bytes: it reads the
+object and rehashes it against the artifact id, and reads no sidecar. A run
+reads every replay hit and every dependency input through it.
+``get_artifact``, for provenance readers, adds the metadata from the sidecar
+and checks the ``produced_under`` identity it holds against its parts.
 
 Node ids and run ids become file names, so ``unsafe_name`` is the one rule
 for both: an empty name, ``.``, ``..``, or one holding ``/`` or NUL.
@@ -127,7 +128,7 @@ def stats_from_doc(doc: Mapping[str, object]) -> ExecutionStats:
 
 @dataclass(frozen=True, slots=True)
 class ArtifactRecord:
-    """A published artifact: bytes plus identity, type, and provenance."""
+    """A published artifact as ``get_artifact`` returns it, with its provenance."""
 
     artifact_id: ContentHash
     content: bytes
@@ -135,12 +136,6 @@ class ArtifactRecord:
     producer: str
     produced_under: ExecutionIdentity | None
     created_at: float = 0.0  # informational only; never hashed
-
-    def __post_init__(self) -> None:
-        if hash_content(self.content).digest != self.artifact_id.digest:
-            raise IntegrityError(
-                f"artifact id {self.artifact_id.hex[:12]} does not match content hash"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,8 +219,8 @@ class BaseStore:
         """The object's bytes alone; ``ArtifactNotFoundError`` if absent."""
         raise NotImplementedError
 
-    def _read_object(self, hex_id: str) -> tuple[bytes, dict]:
-        """The bytes and metadata; ``ArtifactNotFoundError`` if absent."""
+    def _read_meta(self, hex_id: str) -> dict:
+        """The metadata of an object whose bytes ``_read_bytes`` has read."""
         raise NotImplementedError
 
     def _object_ids(self) -> list[str]:
@@ -275,24 +270,24 @@ class BaseStore:
                 self._write_object(artifact_id.hex, content, meta)
         return artifact_id
 
-    def get_artifact(self, artifact_id: ContentHash) -> ArtifactRecord:
-        """Fetch an artifact, rehashing its bytes as an integrity check.
-
-        The rehash is ArtifactRecord's own check, so the bytes are hashed once.
-        """
-        content, meta = self._read_object(artifact_id.hex)
-        return ArtifactRecord(artifact_id=artifact_id, content=content, **meta)
-
-    def verify_artifact(self, artifact_id: ContentHash) -> None:
-        """Check that the stored bytes hash to ``artifact_id``; metadata is not read.
+    def read_artifact(self, artifact_id: ContentHash) -> bytes:
+        """The stored bytes, checked against ``artifact_id``; metadata is not read.
 
         Raises ``ArtifactNotFoundError`` if the object is absent and
         ``IntegrityError`` if its bytes do not match.
         """
-        if hash_content(self._read_bytes(artifact_id.hex)).digest != artifact_id.digest:
+        content = self._read_bytes(artifact_id.hex)
+        if hash_content(content).digest != artifact_id.digest:
             raise IntegrityError(
                 f"artifact id {artifact_id.hex[:12]} does not match content hash"
             )
+        return content
+
+    def get_artifact(self, artifact_id: ContentHash) -> ArtifactRecord:
+        """The checked bytes plus their metadata, for provenance readers."""
+        content = self.read_artifact(artifact_id)
+        meta = self._read_meta(artifact_id.hex)
+        return ArtifactRecord(artifact_id=artifact_id, content=content, **meta)
 
     def has_artifact(self, artifact_id: ContentHash) -> bool:
         return self._has_object(artifact_id.hex)
@@ -371,9 +366,10 @@ class BaseStore:
             return None
 
     def records_for_artifact(self, artifact_id: ContentHash) -> list[ExecutionRecord]:
-        return [
-            r for r in self.records() if r.canonical_artifact.hex == artifact_id.hex
-        ]
+        """The entries with canonical artifact ``artifact_id``, in ``records`` order."""
+        records = self._records
+        matches = (h for h, r in records.items() if r.canonical_artifact == artifact_id)
+        return [records[h] for h in sorted(matches)]
 
     def put_run_report(self, run_id: str, payload: dict) -> None:
         self._write_report(check_run_id(run_id), canonical_json_bytes(payload) + b"\n")
@@ -400,13 +396,13 @@ class MemoryStore(BaseStore):
         self._objects[hex_id] = (content, meta)
 
     def _read_bytes(self, hex_id: str) -> bytes:
-        return self._read_object(hex_id)[0]
-
-    def _read_object(self, hex_id: str) -> tuple[bytes, dict]:
         try:
-            return self._objects[hex_id]
+            return self._objects[hex_id][0]
         except KeyError:
             raise ArtifactNotFoundError(f"no artifact {hex_id}") from None
+
+    def _read_meta(self, hex_id: str) -> dict:
+        return self._objects[hex_id][1]
 
     def _object_ids(self) -> list[str]:
         return list(self._objects)
@@ -507,8 +503,7 @@ class FileStore(BaseStore):
         except OSError as exc:
             raise StorageError(f"cannot read artifact {hex_id[:12]}: {exc}") from exc
 
-    def _read_object(self, hex_id: str) -> tuple[bytes, dict]:
-        content = self._read_bytes(hex_id)
+    def _read_meta(self, hex_id: str) -> dict:
         try:
             with open(self._object_file(hex_id) + ".json", "rb") as fh:
                 meta = json.loads(fh.read())
@@ -516,7 +511,7 @@ class FileStore(BaseStore):
             raise StorageError(f"cannot read artifact {hex_id[:12]}: {exc}") from exc
         doc = meta["produced_under"]
         meta["produced_under"] = None if doc is None else identity_from_doc(doc)
-        return content, meta
+        return meta
 
     def _object_ids(self) -> list[str]:
         ids = []

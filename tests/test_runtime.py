@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -30,6 +31,7 @@ from dagline.graph import (
     ancestors,
     descendants,
 )
+from dagline.identity import hash_content
 from dagline.runtime import (
     FULL,
     PINNED,
@@ -256,6 +258,56 @@ class TestReplayIntegrity:
         assert {d.action for d in replayed.decisions} == {REPLAYED}
         with pytest.raises(StorageError):
             workspace.store.get_artifact(target)
+
+
+_json_opens: list[str] | None = None  # set while a test counts sidecar opens
+
+
+def _count_json_opens(event: str, args: tuple) -> None:
+    if event == "open" and _json_opens is not None and str(args[0]).endswith(".json"):
+        _json_opens.append(str(args[0]))
+
+
+sys.addaudithook(_count_json_opens)
+
+
+class TestDependencyReads:
+    @pytest.mark.parametrize("backend", ["memory", "file"])
+    def test_miss_on_tampered_dependency_raises(self, backend, tmp_path):
+        workspace = chain_workspace()
+        if backend == "file":
+            workspace = replace(workspace, store=FileStore(tmp_path / "store"))
+        cold = run(workspace, FULL)
+        target = cold.final_artifacts["analysis"].hex  # synthesis's only input
+        store = workspace.store
+        if backend == "memory":
+            content, meta = store._objects[target]
+            store._objects[target] = (b"tampered " + content, meta)
+        else:
+            path = store._object_path(target)
+            raw = bytearray(path.read_bytes())
+            raw[0] ^= 0xFF
+            path.write_bytes(bytes(raw))
+        with pytest.raises(IntegrityError):
+            run(workspace, FULL)
+
+    def test_miss_reads_dependencies_without_sidecars(self, tmp_path):
+        global _json_opens
+        workspace = replace(chain_workspace(), store=FileStore(tmp_path / "store"))
+        cold = run(workspace, FULL)
+        path = workspace.store._object_path(cold.final_artifacts["retrieval"].hex)
+        path.with_name(path.name + ".json").unlink()
+        _json_opens = []
+        try:
+            full = run(workspace, FULL)
+            opened = _json_opens
+        finally:
+            _json_opens = None
+        assert opened == []
+        assert {d.action for d in full.decisions} == {RECOMPUTED}
+        assert full.final_artifacts == cold.final_artifacts
+        for artifact_id in full.final_artifacts.values():
+            assert hash_content(workspace.store.read_artifact(artifact_id)) == artifact_id
 
 
 class TestApplyEdit:

@@ -304,20 +304,21 @@ def test_put_artifact_after_a_failed_second_write_is_readable(tmp_path, monkeypa
 
 def test_verify_artifact_accepts_stored_bytes_and_rejects_absent_ones(store):
     artifact_id = store.put_artifact(b"verified", "text", "n", identity_for(b"verify"))
-    assert store.verify_artifact(artifact_id) is None
+    assert store.read_artifact(artifact_id) == b"verified"
     with pytest.raises(ArtifactNotFoundError):
-        store.verify_artifact(hash_content(b"never stored"))
+        store.read_artifact(hash_content(b"never stored"))
 
 
 def test_verify_artifact_rejects_changed_bytes(store):
     artifact_id = store.put_artifact(b"original", "text", "n", None)
+    assert store.read_artifact(artifact_id) == b"original"
     if isinstance(store, MemoryStore):
         _, meta = store._objects[artifact_id.hex]
         store._objects[artifact_id.hex] = (b"changed", meta)
     else:
         store._object_path(artifact_id.hex).write_bytes(b"changed")
     with pytest.raises(IntegrityError):
-        store.verify_artifact(artifact_id)
+        store.read_artifact(artifact_id)
 
 
 # -- the node-history index ----------------------------------------------------
