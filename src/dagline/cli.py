@@ -133,11 +133,16 @@ def _store_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def _open_store(args: argparse.Namespace) -> FileStore:
+    """The store at ``--store``, opened once this process holds its lock.
+
+    The lock comes first, so the ledger loaded at open already holds every
+    write of the command that held the lock before.
+    """
     if args.store is None:
         raise DaglineError("no store path: pass --store or set DAGLINE_STORE")
-    store = FileStore(args.store)
-    _lock(store)
-    return store
+    args.store.mkdir(parents=True, exist_ok=True)
+    _lock(args.store)
+    return FileStore(args.store)
 
 
 _LOCK_HANDLES = []  # lock fds held for the duration of one command
@@ -148,15 +153,15 @@ def _release_locks() -> None:
         _LOCK_HANDLES.pop().close()
 
 
-def _lock(store: FileStore) -> None:
+def _lock(root: Path) -> None:
     if fcntl is None:
         return
-    handle = (store.root / ".lock").open("w")
+    handle = (root / ".lock").open("w")
     try:
         fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
     except OSError:
         handle.close()
-        raise DaglineError(f"store {store.root} is in use by another dagline process")
+        raise DaglineError(f"store {root} is in use by another dagline process")
     _LOCK_HANDLES.append(handle)
 
 

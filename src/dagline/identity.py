@@ -127,7 +127,7 @@ class ExecutionIdentity:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "predecessors", dict(self.predecessors))
-        expected = _identity_value(self.spec_hash, self.input_hash, self.predecessors)
+        expected = self._recompute()
         if expected.digest != self.value.digest:
             raise ValueError(
                 "execution identity does not verify: "
@@ -135,29 +135,43 @@ class ExecutionIdentity:
             )
 
     def verify(self) -> bool:
-        recomputed = _identity_value(self.spec_hash, self.input_hash, self.predecessors)
-        return recomputed.digest == self.value.digest
+        return self._recompute().digest == self.value.digest
+
+    def _recompute(self) -> ContentHash:
+        preds = {port: h.hex for port, h in self.predecessors.items()}
+        return _identity_value(self.spec_hash.hex, self.input_hash.hex, preds)
 
     def __str__(self) -> str:
         return self.value.hex
 
 
-def _identity_value(
-    spec_hash: ContentHash,
-    input_hash: ContentHash,
-    predecessors: Mapping[str, ContentHash],
-) -> ContentHash:
-    """Hash the identity document, written directly in its canonical form.
+def _identity_document(spec: str, inputs: str, preds: Mapping[str, str]) -> bytes:
+    """The identity document of the parts' hex strings, written in its canonical form.
 
     Equal to ``canonical_json_bytes({"inputs": ..., "preds": {...}, "spec":
     ...})``: the keys are already in order, the ports are sorted, and port
-    names get the escaping ``json.dumps(ensure_ascii=False)`` applies.
+    names get the escaping ``json.dumps(ensure_ascii=False)`` applies. This is
+    the one writer of the document, for computing and for checking a value.
     """
-    preds = ",".join(
-        f'{_json_string(port)}:"{predecessors[port].hex}"' for port in sorted(predecessors)
-    )
-    doc = f'{{"inputs":"{input_hash.hex}","preds":{{{preds}}},"spec":"{spec_hash.hex}"}}'
-    return hash_content(doc.encode("utf-8"))
+    body = ",".join([f'{_json_string(port)}:"{preds[port]}"' for port in sorted(preds)])
+    return f'{{"inputs":"{inputs}","preds":{{{body}}},"spec":"{spec}"}}'.encode("utf-8")
+
+
+def _identity_value(spec: str, inputs: str, preds: Mapping[str, str]) -> ContentHash:
+    """Hash the identity document of the parts' hex strings."""
+    return hash_content(_identity_document(spec, inputs, preds))
+
+
+def unchecked(cls: type, *values: Any) -> Any:
+    """An instance of the frozen, slotted dataclass ``cls`` with ``values`` in field order.
+
+    ``__post_init__`` is skipped, so a caller uses this only for values it
+    has already checked or computed itself.
+    """
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__slots__, values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def compute_execution_identity(
@@ -171,8 +185,9 @@ def compute_execution_identity(
     self-verification, which would hash the same document again, is skipped.
     """
     preds = dict(predecessors or {})
+    hexes = {port: h.hex for port, h in preds.items()}
     identity = object.__new__(ExecutionIdentity)
-    object.__setattr__(identity, "value", _identity_value(spec_hash, input_hash, preds))
+    object.__setattr__(identity, "value", _identity_value(spec_hash.hex, input_hash.hex, hexes))
     object.__setattr__(identity, "spec_hash", spec_hash)
     object.__setattr__(identity, "input_hash", input_hash)
     object.__setattr__(identity, "predecessors", preds)
@@ -189,19 +204,29 @@ def identity_to_doc(identity: ExecutionIdentity) -> dict:
     }
 
 
-def identity_from_doc(doc: Mapping[str, Any]) -> ExecutionIdentity:
-    """Decode an identity document, checking its stored value against its parts."""
-    identity = compute_execution_identity(
-        spec_hash=ContentHash.from_hex(doc["spec"]),
-        input_hash=ContentHash.from_hex(doc["inputs"]),
-        predecessors={p: ContentHash.from_hex(h) for p, h in doc["preds"].items()},
-    )
-    if identity.value.hex != doc["value"]:
+def verified_value_hex(doc: Mapping[str, Any]) -> str:
+    """An identity document's ``value``, checked against its parts' hex strings.
+
+    One SHA-256 of the document, and no ContentHash is built; raises
+    ``IntegrityError`` if the value does not verify. Whether each hex string
+    is a digest is the caller's check.
+    """
+    parts = _identity_document(doc["spec"], doc["inputs"], doc["preds"])
+    value = hashlib.sha256(parts).hexdigest()
+    if value != doc["value"]:
         raise IntegrityError(
             "execution identity fails self-verification: "
-            f"stored {str(doc['value'])[:12]}, recomputed {identity.value.hex[:12]}"
+            f"stored {str(doc['value'])[:12]}, recomputed {value[:12]}"
         )
-    return identity
+    return value
+
+
+def identity_from_doc(doc: Mapping[str, Any]) -> ExecutionIdentity:
+    """Decode an identity document, checking its stored value against its parts."""
+    spec, inputs = ContentHash.from_hex(doc["spec"]), ContentHash.from_hex(doc["inputs"])
+    preds = {p: ContentHash.from_hex(h) for p, h in doc["preds"].items()}
+    value = ContentHash.from_hex(verified_value_hex(doc))
+    return unchecked(ExecutionIdentity, value, spec, inputs, preds)
 
 
 def _plain(value: Any) -> Any:

@@ -149,15 +149,19 @@ class RunReport:
     totals: ExecutionStats
     elapsed: float
     failed_node: str | None = None
+    _by_node: Mapping[str, NodeDecision] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "final_artifacts", dict(self.final_artifacts))
+        object.__setattr__(self, "_by_node", {d.node_id: d for d in self.decisions})
 
     def decision_for(self, node_id: str) -> NodeDecision:
-        for decision in self.decisions:
-            if decision.node_id == node_id:
-                return decision
-        raise UnknownNodeError(f"no decision for node {node_id!r} in run {self.run_id}")
+        try:
+            return self._by_node[node_id]
+        except KeyError:
+            raise UnknownNodeError(
+                f"no decision for node {node_id!r} in run {self.run_id}"
+            ) from None
 
 
 def report_to_doc(report: RunReport) -> dict:

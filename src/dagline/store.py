@@ -19,7 +19,13 @@ lock; concurrent identical writes are idempotent.
 
 A handle loads the ledger at open and a node's history on its first use,
 then extends both with its own writes; another handle's writes become
-visible after a reopen. A new record is appended to its node's history
+visible after a reopen. A FileStore checks every ledger entry at open
+(``check_entry``: one SHA-256 of the identity document, built from the
+hex strings of its parts, and a shape check of every other hash) and keeps
+the entry's bytes; ``BaseStore._record`` builds its ``ExecutionRecord``
+(``record_from_doc``, which checks nothing again) on its first lookup and
+keeps the record in the bytes' place. The records one handle builds share
+their ``ContentHash`` objects. A new record is appended to its node's history
 before its ledger entry is written, so a failure between the two leaves a
 history entry with no record, which every reader skips, and never a record
 that no history names. ``prior_record`` is the one walk over a history: the
@@ -53,12 +59,15 @@ from dagline.errors import (
     StorageError,
 )
 from dagline.identity import (
+    DIGEST_SIZE,
     ContentHash,
     ExecutionIdentity,
     canonical_json_bytes,
     hash_content,
     identity_from_doc,
     identity_to_doc,
+    unchecked,
+    verified_value_hex,
 )
 
 DEPENDENCY_INPUT = "dependency"
@@ -162,19 +171,80 @@ class ExecutionRecord:
         object.__setattr__(self, "input_surface", dict(self.input_surface))
 
 
-def record_from_doc(doc: dict) -> ExecutionRecord:
-    return ExecutionRecord(
-        identity=identity_from_doc(doc["identity"]),
-        node_id=doc["node_id"],
-        canonical_artifact=ContentHash.from_hex(doc["canonical_artifact"]),
-        candidate_artifacts=tuple(
-            ContentHash.from_hex(c) for c in doc["candidate_artifacts"]
+_INPUT_KINDS = frozenset((DEPENDENCY_INPUT, CONTEXT_INPUT))
+
+
+def check_entry(doc: dict) -> str:
+    """The identity hex of a parsed ledger entry, checked so ``record_from_doc`` can trust it.
+
+    The identity value is recomputed from the hex strings of its parts;
+    ``IntegrityError`` if it does not verify. ``KeyError``, ``TypeError`` or
+    ``ValueError`` if a field is missing, a hash is not the lowercase hex of
+    a 32-byte digest, an input kind is unknown or a stats count is negative.
+    """
+    identity, surface, stats = doc["identity"], doc["input_surface"].values(), doc["stats"]
+    hexes = [
+        identity["spec"], identity["inputs"], *identity["preds"].values(),
+        doc["canonical_artifact"], *doc["candidate_artifacts"], *[ref["hash"] for ref in surface],
+    ]
+    joined = "".join(hexes)
+    if set(map(len, hexes)) != {2 * DIGEST_SIZE} or bytes.fromhex(joined).hex() != joined:
+        raise ValueError("a hash is not the lowercase hex of a 32-byte digest")
+    if not isinstance(doc["node_id"], str):
+        raise TypeError("node_id is not a string")
+    if not {ref["kind"] for ref in surface} <= _INPUT_KINDS:
+        raise ValueError("an input kind is neither dependency nor context")
+    if min(stats["input_chars"], stats["output_chars"], stats["synthesis_calls"]) < 0 \
+            or stats["elapsed"] < 0:
+        raise ValueError("stats counts must be non-negative")
+    return verified_value_hex(identity)
+
+
+# A ContentHash built from a checked hex string, without its constructor's
+# two Python frames: about a third of the time, and hashes dominate a decode.
+_new_object = object.__new__
+_set_digest = ContentHash.digest.__set__
+
+
+def record_from_doc(doc: dict, hashes: dict[str, ContentHash] | None = None) -> ExecutionRecord:
+    """Decode a ledger entry that ``check_entry`` passed; nothing is checked or hashed again.
+
+    ``hashes`` maps a hex string to the ContentHash already built for it and
+    gains the entry's new ones, so the entries one store decodes share their
+    hashes: a predecessor is an upstream entry's identity, and a dependency
+    input its artifact.
+    """
+    hashes = {} if hashes is None else hashes
+
+    def content_hash(hex_text: str) -> ContentHash:
+        found = hashes.get(hex_text)
+        if found is None:
+            found = hashes[hex_text] = _new_object(ContentHash)
+            _set_digest(found, bytes.fromhex(hex_text))
+        return found
+
+    identity, stats = doc["identity"], doc["stats"]
+    return unchecked(
+        ExecutionRecord,
+        unchecked(
+            ExecutionIdentity,
+            content_hash(identity["value"]),
+            content_hash(identity["spec"]),
+            content_hash(identity["inputs"]),
+            {port: content_hash(h) for port, h in identity["preds"].items()},
         ),
-        input_surface={
-            port: InputRef(kind=ref["kind"], hash=ContentHash.from_hex(ref["hash"]))
+        doc["node_id"],
+        content_hash(doc["canonical_artifact"]),
+        tuple(map(content_hash, doc["candidate_artifacts"])),
+        {
+            port: InputRef(ref["kind"], content_hash(ref["hash"]))
             for port, ref in doc["input_surface"].items()
         },
-        stats=stats_from_doc(doc["stats"]),
+        unchecked(
+            ExecutionStats,
+            stats["input_chars"], stats["output_chars"], stats["synthesis_calls"],
+            stats["elapsed"],
+        ),
     )
 
 
@@ -198,14 +268,16 @@ class BaseStore:
     """Semantics shared by both backends; subclasses provide the primitives.
 
     The ledger index ``_records`` and the histories ``_histories`` live here
-    for both backends. Artifact metadata travels as ``{"content_type",
-    "created_at", "producer", "produced_under"}`` with the identity object (or
-    ``None``) as its value.
+    for both backends. A ledger value is an ``ExecutionRecord`` or, in a
+    FileStore, the raw bytes of an entry checked at open; ``_record`` is the
+    one reader of the index, and turns kept bytes into a record on first use.
+    Artifact metadata travels as ``{"content_type", "created_at", "producer",
+    "produced_under"}`` with the identity object (or ``None``) as its value.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._records: dict[str, ExecutionRecord] = {}
+        self._records: dict[str, ExecutionRecord | bytes] = {}
         self._histories: dict[str, dict[str, None]] = {}
 
     # -- primitives supplied by subclasses ---------------------------------
@@ -213,6 +285,13 @@ class BaseStore:
         raise NotImplementedError
 
     def _write_object(self, hex_id: str, content: bytes, meta: dict) -> None:
+        raise NotImplementedError
+
+    def _has_meta(self, hex_id: str) -> bool:
+        """Whether a stored object's metadata is stored too."""
+        raise NotImplementedError
+
+    def _write_meta(self, hex_id: str, meta: dict) -> None:
         raise NotImplementedError
 
     def _read_bytes(self, hex_id: str) -> bytes:
@@ -228,6 +307,16 @@ class BaseStore:
 
     def _put_record(self, hex_identity: str, record: ExecutionRecord) -> None:
         self._records[hex_identity] = record
+
+    def _decode_record(self, raw: bytes) -> ExecutionRecord:
+        """The record of a ledger entry's bytes, kept by open after checking them."""
+        raise NotImplementedError
+
+    def _record(self, hex_identity: str) -> ExecutionRecord | None:
+        entry = self._records.get(hex_identity)
+        if entry.__class__ is bytes:
+            entry = self._records[hex_identity] = self._decode_record(entry)
+        return entry
 
     def _load_history(self, node_id: str) -> dict[str, None]:
         return {}
@@ -257,17 +346,26 @@ class BaseStore:
         producer: str,
         produced_under: ExecutionIdentity | None,
     ) -> ContentHash:
-        """Persist bytes at their content hash; idempotent for identical content."""
+        """Persist bytes at their content hash; idempotent for identical content.
+
+        Stored bytes whose metadata is missing get it written again; only a
+        put of bytes already stored pays to look for it.
+        """
         artifact_id = hash_content(content)
+        hex_id = artifact_id.hex
         with self._lock:
-            if not self._has_object(artifact_id.hex):
+            exists = self._has_object(hex_id)
+            if not exists or not self._has_meta(hex_id):
                 meta = {
                     "content_type": content_type,
                     "created_at": time.time(),
                     "producer": producer,
                     "produced_under": produced_under,
                 }
-                self._write_object(artifact_id.hex, content, meta)
+                if exists:  # the metadata was lost after the bytes were written
+                    self._write_meta(hex_id, meta)
+                else:
+                    self._write_object(hex_id, content, meta)
         return artifact_id
 
     def read_artifact(self, artifact_id: ContentHash) -> bytes:
@@ -311,7 +409,7 @@ class BaseStore:
                 )
         hex_identity = record.identity.value.hex
         with self._lock:
-            existing = self._records.get(hex_identity)
+            existing = self._record(hex_identity)
             if existing is not None:
                 if replace(existing, stats=record.stats) != record:
                     raise IdentityConflictError(
@@ -327,12 +425,12 @@ class BaseStore:
         self, identity: ExecutionIdentity | ContentHash
     ) -> ExecutionRecord | None:
         value = identity.value if isinstance(identity, ExecutionIdentity) else identity
-        return self._records.get(value.hex)
+        return self._record(value.hex)
 
     def records(self) -> Iterator[ExecutionRecord]:
         """All ledger entries, ordered by identity hex for determinism."""
         for hex_identity in sorted(self._records):
-            yield self._records[hex_identity]
+            yield self._record(hex_identity)
 
     def node_history(self, node_id: str) -> list[ContentHash]:
         """Identities recorded for a node, oldest first, each once."""
@@ -360,16 +458,17 @@ class BaseStore:
                     if hex_identity == identity.value.hex:
                         break
             for hex_identity in entries:
-                record = self._records.get(hex_identity)
+                record = self._record(hex_identity)
                 if record is not None:
                     return record
             return None
 
     def records_for_artifact(self, artifact_id: ContentHash) -> list[ExecutionRecord]:
         """The entries with canonical artifact ``artifact_id``, in ``records`` order."""
-        records = self._records
-        matches = (h for h, r in records.items() if r.canonical_artifact == artifact_id)
-        return [records[h] for h in sorted(matches)]
+        matches = sorted(
+            h for h in self._records if self._record(h).canonical_artifact == artifact_id
+        )
+        return [self._records[h] for h in matches]
 
     def put_run_report(self, run_id: str, payload: dict) -> None:
         self._write_report(check_run_id(run_id), canonical_json_bytes(payload) + b"\n")
@@ -394,6 +493,9 @@ class MemoryStore(BaseStore):
 
     def _write_object(self, hex_id: str, content: bytes, meta: dict) -> None:
         self._objects[hex_id] = (content, meta)
+
+    def _has_meta(self, hex_id: str) -> bool:
+        return True  # an object is stored with its metadata, in one value
 
     def _read_bytes(self, hex_id: str) -> bytes:
         try:
@@ -430,10 +532,14 @@ class FileStore(BaseStore):
         nodes/<node id>                 newline-separated identity history
         runs/<run id>/report            canonical-JSON run report
 
-    The ledger is append-only; on open every entry is decoded, verified
-    (also against its file name) and put in BaseStore's index, so a fresh
-    handle sees exactly what was recorded. A node's history file is read
-    once per handle, on the node's first use, and a torn last line left by
+    The ledger is append-only. On open every entry is read and checked
+    (``check_entry``): its identity value is recomputed from the hex strings
+    of its parts and compared with the stored value and the file name, and
+    every other hash must be the lowercase hex of a digest, so a bad entry
+    fails the open, not a later lookup. The entry's bytes go into
+    BaseStore's index, and its ``ExecutionRecord`` is built when it is first
+    looked up, so a fresh handle sees exactly what was recorded. A node's
+    history file is read once per handle, on the node's first use, and a torn last line left by
     an interrupted append is cut off then. Leftover temp files are never
     read as entries or objects, and a run without its report is not listed.
     This class alone encodes and decodes the ledger entries and the
@@ -452,23 +558,22 @@ class FileStore(BaseStore):
         self._executions_dir = os.path.join(base, "executions")
         self._nodes_dir = os.path.join(base, "nodes")
         self._shards: set[str] = set()  # object shard directories known to exist
+        self._hashes: dict[str, ContentHash] = {}  # shared by the records it decodes
         with os.scandir(self._executions_dir) as entries:
-            ledger = sorted(
+            ledger = sorted([
                 (e.name, e.path) for e in entries
                 if e.is_file() and TEMP_MARK not in e.name
-            )
+            ])
         for name, path in ledger:
             with open(path, "rb") as fh:
                 raw = fh.read()
             try:
-                record = record_from_doc(json.loads(raw))
+                hex_identity = check_entry(json.loads(raw.decode()))
             except (ValueError, KeyError, TypeError) as exc:
                 raise StorageError(f"unreadable ledger entry {name}: {exc!r}") from exc
-            if record.identity.value.hex != name:
-                raise IntegrityError(
-                    f"ledger entry {name} holds identity {record.identity.value.hex}"
-                )
-            self._records[name] = record
+            if hex_identity != name:
+                raise IntegrityError(f"ledger entry {name} holds identity {hex_identity}")
+            self._records[name] = raw
 
     def _object_file(self, hex_id: str) -> str:
         return f"{self._objects_dir}/{hex_id[:2]}/{hex_id[2:]}"
@@ -484,15 +589,20 @@ class FileStore(BaseStore):
         if shard not in self._shards:
             os.makedirs(f"{self._objects_dir}/{shard}", exist_ok=True)
             self._shards.add(shard)
-        path = self._object_file(hex_id)
+        # The sidecar goes first: ``_has_object`` checks only the bytes, so a
+        # failure between the two writes leaves an object put_artifact rewrites.
+        self._write_meta(hex_id, meta)
+        _atomic_write(self._object_file(hex_id), content)
+
+    def _has_meta(self, hex_id: str) -> bool:
+        return os.path.exists(self._object_file(hex_id) + ".json")
+
+    def _write_meta(self, hex_id: str, meta: dict) -> None:
         identity = meta["produced_under"]
         sidecar = dict(
             meta, produced_under=None if identity is None else identity_to_doc(identity)
         )
-        # The sidecar goes first: ``_has_object`` checks only the bytes, so a
-        # failure between the two writes leaves an object put_artifact rewrites.
-        _atomic_write(path + ".json", canonical_json_bytes(sidecar) + b"\n")
-        _atomic_write(path, content)
+        _atomic_write(self._object_file(hex_id) + ".json", canonical_json_bytes(sidecar) + b"\n")
 
     def _read_bytes(self, hex_id: str) -> bytes:
         try:
@@ -526,6 +636,9 @@ class FileStore(BaseStore):
     def _put_record(self, hex_identity: str, record: ExecutionRecord) -> None:
         _atomic_write(f"{self._executions_dir}/{hex_identity}", record_bytes(record))
         super()._put_record(hex_identity, record)
+
+    def _decode_record(self, raw: bytes) -> ExecutionRecord:
+        return record_from_doc(json.loads(raw.decode()), self._hashes)
 
     def _load_history(self, node_id: str) -> dict[str, None]:
         path = f"{self._nodes_dir}/{node_id}"

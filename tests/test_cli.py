@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -359,6 +360,17 @@ class TestExperimentCommand:
         assert err.value.code == 2
 
 
+_ledger_opens: list[str] | None = None  # set while a test counts ledger-entry opens
+
+
+def _count_ledger_opens(event: str, args: tuple) -> None:
+    if event == "open" and _ledger_opens is not None and "/executions/" in str(args[0]):
+        _ledger_opens.append(str(args[0]))
+
+
+sys.addaudithook(_count_ledger_opens)
+
+
 class TestLocking:
     def test_second_process_locked_out(self, project, capsys):
         import fcntl
@@ -372,6 +384,25 @@ class TestLocking:
             assert "in use" in capsys.readouterr().err
         finally:
             holder.close()
+
+    def test_locked_out_command_reads_no_ledger_entry(self, project, capsys):
+        import fcntl
+
+        global _ledger_opens
+        invoke(*run_args(project))
+        capsys.readouterr()
+        assert len(list((project["tmp"] / "store" / "executions").iterdir())) == 3
+        holder = open(project["tmp"] / "store" / ".lock", "w")
+        fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        _ledger_opens = []
+        try:
+            assert invoke(*run_args(project)) == 1
+            opens = _ledger_opens
+        finally:
+            _ledger_opens = None
+            holder.close()
+        assert "in use" in capsys.readouterr().err
+        assert opens == []
 
 
 class TestEditLog:

@@ -558,3 +558,121 @@ def test_history_readers_beside_concurrent_writers(store):
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert len(store.node_history("node")) == len(records)
+
+
+def _entry_with_preds(root):
+    """A FileStore at ``root`` holding one entry whose identity has a predecessor."""
+    store = FileStore(root)
+    identity = compute_execution_identity(
+        hash_content(b"spec:preds"), hash_content(b"input:preds"), {"up": hash_content(b"up")}
+    )
+    artifact = store.put_artifact(b"preds output", "text", "node", identity)
+    store.record_execution(ExecutionRecord(
+        identity=identity, node_id="node", canonical_artifact=artifact,
+        candidate_artifacts=(artifact,),
+        input_surface={"up": InputRef("dependency", hash_content(b"up"))},
+    ))
+    return root / "executions" / identity.value.hex
+
+
+def _set_field(*path):
+    def fault(doc, value):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return fault
+
+
+_NOT_HEX, _SHORT = "zz" * 32, "ab" * 31
+_HASH_FIELDS = {
+    "canonical_artifact": _set_field("canonical_artifact"),
+    "candidate_artifacts": _set_field("candidate_artifacts", 0),
+    "input_surface": _set_field("input_surface", "up", "hash"),
+}
+
+
+@pytest.mark.parametrize("fault, error", [
+    ("truncated", StorageError),
+    ("no canonical_artifact", StorageError),
+    *[(f"{how} {name}", StorageError) for name in _HASH_FIELDS for how in ("non-hex", "31-byte")],
+    ("forged preds", IntegrityError),
+])
+def test_faulty_ledger_entry_fails_reopen(tmp_path, fault, error):
+    path = _entry_with_preds(tmp_path / "store")
+    raw = path.read_bytes()
+    doc = json.loads(raw)
+    if fault == "truncated":
+        raw = raw[: len(raw) // 2]
+    else:
+        if fault == "no canonical_artifact":
+            del doc["canonical_artifact"]
+        elif fault == "forged preds":
+            doc["identity"]["preds"]["up"] = hash_content(b"forged up").hex
+        else:
+            how, name = fault.split(" ")
+            _HASH_FIELDS[name](doc, _NOT_HEX if how == "non-hex" else _SHORT)
+        raw = json.dumps(doc).encode()
+    path.write_bytes(raw)
+    with pytest.raises(error):
+        FileStore(tmp_path / "store")
+
+
+def test_reopened_store_answers_as_the_writing_handle(tmp_path):
+    from dagline.graph import CONTEXT_EDIT, EditEvent
+    from dagline.runtime import REPLAY, apply_edit
+
+    from test_scheduler import lattice_graph
+
+    root = tmp_path / "store"
+    writer = FileStore(root)
+    workspace = dataclasses.replace(workspace_for(lattice_graph(8, 10)), store=writer)
+    run(workspace, FULL)
+    for source in ("c1-l0", "c5-l0"):
+        edit = EditEvent(CONTEXT_EDIT, source, b"revised " + source.encode(), port="raw")
+        workspace, _ = apply_edit(workspace, edit)
+        run(workspace, REPLAY)
+    records = list(writer.records())
+    assert len(records) > 80
+    # Each query is the first to build the records it returns on its own handle.
+    reopened = FileStore(root)
+    for record in records:
+        assert reopened.prior_record(record.node_id, record.identity) == \
+            writer.prior_record(record.node_id, record.identity)
+    for node_id in workspace.graph.nodes:
+        assert reopened.prior_record(node_id) == writer.prior_record(node_id)
+    reopened = FileStore(root)
+    for record in records:
+        assert reopened.lookup_by_identity(record.identity) == record
+    assert list(FileStore(root).records()) == records
+
+
+class TestReopenScale:
+    """Reopen is counted, not timed: Python calls per ledger entry."""
+
+    @pytest.mark.parametrize("width, depth", [(10, 10), (20, 20)])
+    def test_reopen_makes_a_bounded_number_of_calls_per_entry(self, tmp_path, width, depth):
+        import cProfile
+        import pstats
+
+        from test_scheduler import lattice_graph
+
+        root = tmp_path / "store"
+        graph = lattice_graph(width, depth)
+        run(dataclasses.replace(workspace_for(graph), store=FileStore(root)), FULL)
+        entries = width * depth
+        profile = cProfile.Profile()
+        store = profile.runcall(FileStore, root)
+        assert pstats.Stats(profile).total_calls <= 47 * entries
+        assert len(list(store.records())) == entries
+
+
+def test_lost_sidecar_is_rewritten_by_the_next_put(tmp_path):
+    from conftest import chain_workspace
+
+    store = FileStore(tmp_path / "store")
+    workspace = dataclasses.replace(chain_workspace(), store=store)
+    artifact_id = run(workspace, FULL).final_artifacts["retrieval"]
+    hex_id = artifact_id.hex
+    (tmp_path / "store" / "objects" / hex_id[:2] / f"{hex_id[2:]}.json").unlink()
+    run(workspace, FULL)
+    assert store.get_artifact(artifact_id).producer == "retrieval"
