@@ -52,12 +52,16 @@ except ImportError:  # non-POSIX; advisory locking degrades to a no-op
     fcntl = None  # type: ignore[assignment]
 
 
+class UsageError(DaglineError):
+    """An argument is malformed or names a file that cannot be read."""
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ManifestError as exc:
+    except (ManifestError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DaglineError as exc:
@@ -244,8 +248,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _parse_edit_spec(raw: str, parts: int) -> list[str]:
     pieces = raw.split(":", parts - 1)
     if len(pieces) != parts or not all(pieces):
-        raise DaglineError(f"malformed edit spec {raw!r}")
+        raise UsageError(f"malformed edit spec {raw!r}")
     return pieces
+
+
+def _read_input(file_name: str) -> bytes:
+    try:
+        return Path(file_name).read_bytes()
+    except OSError as exc:
+        raise UsageError(f"cannot read {file_name}: {exc.strerror}") from None
 
 
 def _cmd_edit(args: argparse.Namespace) -> int:
@@ -255,14 +266,14 @@ def _cmd_edit(args: argparse.Namespace) -> int:
     event_id = f"cli-{len(edit_log):06d}"
     if args.context_edit:
         node, port, file_name = _parse_edit_spec(args.context_edit, 3)
-        content = Path(file_name).read_bytes()
+        content = _read_input(file_name)
         edit = EditEvent(CONTEXT_EDIT, node, content, port=port, event_id=event_id)
         _, dirty = apply_edit(workspace, edit)
         content_type = workspace.graph.node(node).context_port(port).artifact_type
         artifact_id = store.put_artifact(content, content_type, node, produced_under=None)
     else:
         node, file_name = _parse_edit_spec(args.artifact_edit, 2)
-        content = Path(file_name).read_bytes()
+        content = _read_input(file_name)
         edit = EditEvent(ARTIFACT_EDIT, node, content, event_id=event_id)
         edited, dirty = apply_edit(workspace, edit)
         artifact_id = edited.overrides[node]  # stored by apply_edit
@@ -290,6 +301,11 @@ def _overrides_by_artifact(store: FileStore) -> dict[str, str]:
 
 
 def _cmd_lineage(args: argparse.Namespace) -> int:
+    if args.artifact:
+        try:
+            artifact_id = ContentHash.from_hex(args.artifact)
+        except ValueError:
+            raise UsageError(f"--artifact needs all 64 hex digits: {args.artifact!r}") from None
     store = _open_store(args)
     overrides = _overrides_by_artifact(store)
     if args.node:
@@ -298,7 +314,6 @@ def _cmd_lineage(args: argparse.Namespace) -> int:
             raise DaglineError(f"no execution recorded for node {args.node!r}")
         _print_lineage(store, record, overrides)
     else:
-        artifact_id = ContentHash.from_hex(args.artifact)
         records = store.records_for_artifact(artifact_id)
         if not records:
             if args.artifact in overrides:

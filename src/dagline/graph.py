@@ -24,6 +24,8 @@ from dagline.identity import ContentHash, hash_content, hash_spec
 from dagline.store import unsafe_name
 
 if TYPE_CHECKING:
+    import random
+
     from dagline.executors import ExecutorRegistry
 
 DEPENDENCY = "dependency"
@@ -142,18 +144,14 @@ class Violation:
 
 
 class KahnPass(NamedTuple):
-    """One Kahn pass over a graph, with lexicographic tie-breaking.
+    """One Kahn pass over a graph: a topological order and what it left out.
 
     ``order`` holds every schedulable node; ``stuck`` holds the nodes on or
-    behind a cycle. The remaining fields index ``order`` by rank: each
-    node's count of distinct producers and the ranks of its consumers.
+    behind a cycle.
     """
 
     order: tuple[str, ...]
     stuck: frozenset[str]
-    rank: Mapping[str, int]
-    producer_counts: tuple[int, ...]
-    consumer_ranks: tuple[tuple[int, ...], ...]
 
 
 class WorkflowGraph:
@@ -222,8 +220,10 @@ class WorkflowGraph:
             spec_hash = self._spec_hashes[node_id] = hash_spec(self.node(node_id))
         return spec_hash
 
-    def kahn_pass(self) -> KahnPass:
-        """The graph's Kahn pass, computed on first use; the graph never changes."""
+    def kahn_pass(self, rng: random.Random | None = None) -> KahnPass:
+        """The graph's Kahn pass, kept after first use; a seeded pass is never kept."""
+        if rng is not None:
+            return _kahn(self._nodes, self._consumers, rng)
         if self._kahn is None:
             self._kahn = _kahn(self._nodes, self._consumers)
         return self._kahn
@@ -352,35 +352,39 @@ def _structural_violations(graph: WorkflowGraph) -> list[Violation]:
     return violations
 
 
-def _kahn(nodes: Mapping[str, NodeSpec], consumers: Mapping[str, set[str]]) -> KahnPass:
-    """Kahn's algorithm over edges between known nodes, least node id first."""
-    counts = dict.fromkeys(nodes, 0)
+def _kahn(nodes: Mapping[str, NodeSpec], consumers: Mapping[str, set[str]],
+          rng: random.Random | None = None) -> KahnPass:
+    """Kahn's algorithm over edges between known nodes, least ready node id first.
+
+    With ``rng``, a uniform draw among the ready nodes comes next instead: the
+    drawn slot is swapped to the end and popped. Ready nodes are added in id
+    order, so a seeded order depends only on the graph and the seed.
+    """
+    waiting = dict.fromkeys(sorted(nodes), 0)
     for producer, targets in consumers.items():
-        if producer in counts:
+        if producer in waiting:
             for c in targets:
-                if c in counts:
-                    counts[c] += 1
-    waiting = dict(counts)
-    ready = [n for n, d in counts.items() if d == 0]
-    heapq.heapify(ready)
+                if c in waiting:
+                    waiting[c] += 1
+    ready = [n for n, d in waiting.items() if d == 0]  # sorted, so already a heap
     order: list[str] = []
     while ready:
-        n = heapq.heappop(ready)
+        if rng is None:
+            n = heapq.heappop(ready)
+        else:
+            i = rng.randrange(len(ready))
+            ready[i], ready[-1] = ready[-1], ready[i]
+            n = ready.pop()
         order.append(n)
-        for c in consumers.get(n, ()):
+        targets = consumers.get(n, ())
+        for c in targets if rng is None else sorted(targets):
             if c in waiting:
                 waiting[c] -= 1
                 if waiting[c] == 0:
-                    heapq.heappush(ready, c)
-    rank = {n: i for i, n in enumerate(order)}
+                    heapq.heappush(ready, c)  # a seeded draw ignores the heap order
     return KahnPass(
         order=tuple(order),
         stuck=frozenset(n for n, d in waiting.items() if d > 0),
-        rank=MappingProxyType(rank),
-        producer_counts=tuple(counts[n] for n in order),
-        consumer_ranks=tuple(
-            tuple(rank[c] for c in consumers.get(n, ()) if c in rank) for n in order
-        ),
     )
 
 

@@ -12,9 +12,9 @@ A manifest is a UTF-8 JSON document:
       "edges": [["a", "b", "upstream"], ...]
     }
 
-Parsing is strict: unknown keys anywhere are violations. Documents that are
-not JSON, or whose top-level shape prevents building a graph at all, raise
-ManifestError instead.
+Parsing is strict: unknown keys anywhere are violations. Files that cannot
+be read, documents that are not JSON, or whose top-level shape prevents
+building a graph at all, raise ManifestError instead.
 """
 
 from __future__ import annotations
@@ -120,7 +120,11 @@ def parse_manifest(text: str | bytes) -> tuple[WorkflowGraph, list[Violation]]:
 
 
 def load_manifest(path: str | Path) -> tuple[WorkflowGraph, list[Violation]]:
-    return parse_manifest(Path(path).read_bytes())
+    try:
+        text = Path(path).read_bytes()
+    except OSError as exc:
+        raise ManifestError(f"cannot read manifest {path}: {exc.strerror}") from exc
+    return parse_manifest(text)
 
 
 def render_manifest(graph: WorkflowGraph) -> str:

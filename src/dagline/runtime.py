@@ -7,12 +7,11 @@ is proof the prior result still applies, so the artifact is restored instead
 of recomputed. Edits move identities, and only the edited node's descendants
 can see the difference, which is what scopes recomputation.
 
-One driver schedules every run from a ready queue of nodes whose producers
-have all published, with two pop policies: the least topological rank (the
-default, exactly ``topological_order``) or a seeded random choice
-(``schedule_rng``). Every node is settled inline, so a replay or a pin
-releases its consumers at once and published artifacts are
-schedule-independent.
+Every dependency is declared before a run starts, so a run's schedule is
+computed once, before its first node: ``topological_order`` by default, or
+a seeded Kahn pass (``schedule_rng``) that depends only on the graph and the
+seed. The run then settles each node inline in that order; published
+artifacts are schedule-independent.
 
 ``settle`` is the one place a node is decided. A hit or a pin finishes
 there; a hit costs one read of the stored bytes, rehashed against the
@@ -26,7 +25,6 @@ same rule ``explain`` applies to any earlier run.
 
 from __future__ import annotations
 
-import heapq
 import random
 import time
 import uuid
@@ -73,7 +71,7 @@ from dagline.store import (
     ExecutionRecord,
     ExecutionStats,
     InputRef,
-    check_run_id,
+    check_name,
     stats_from_doc,
     stats_to_doc,
 )
@@ -304,15 +302,7 @@ def apply_edit(workspace: Workspace, edit: EditEvent) -> tuple[Workspace, frozen
 
 
 class _RunState:
-    """Mutable bookkeeping for one run.
-
-    ``ready`` holds the ranks, into the graph's topological order, of the
-    nodes whose producers have all published. Under the default schedule
-    it is a heap. Under a seeded schedule it is an unordered list: a pop
-    swaps a uniformly drawn slot to the end and takes it. ``_finish`` still
-    adds with ``heappush``; on an unordered list its sift only reorders
-    entries, which a uniform draw ignores.
-    """
+    """Mutable bookkeeping for one run: what each settled node published."""
 
     def __init__(self, workspace: Workspace, mode: str) -> None:
         self.workspace = workspace
@@ -321,18 +311,6 @@ class _RunState:
         self.contributions: dict[str, ContentHash] = {}
         self.decisions: dict[str, NodeDecision] = {}
         self.totals = ExecutionStats()
-        self._kahn = workspace.graph.kahn_pass()
-        self._waiting = list(self._kahn.producer_counts)
-        self.ready = [r for r, count in enumerate(self._waiting) if count == 0]
-
-    def pop_ready(self, schedule_rng: random.Random | None) -> str:
-        """Take the least-rank ready node, or a seeded uniform choice among them."""
-        ready = self.ready
-        if schedule_rng is None:
-            return self._kahn.order[heapq.heappop(ready)]
-        i = schedule_rng.randrange(len(ready))
-        ready[i], ready[-1] = ready[-1], ready[i]
-        return self._kahn.order[ready.pop()]
 
     def settle(self, node_id: str) -> None:
         """Replay, pin or execute one node and publish its decision."""
@@ -400,11 +378,6 @@ class _RunState:
         self.decisions[node_id] = decision
         self.published[node_id] = decision.artifact_id
         self.contributions[node_id] = decision.contribution
-        waiting = self._waiting
-        for consumer in self._kahn.consumer_ranks[self._kahn.rank[node_id]]:
-            waiting[consumer] -= 1
-            if waiting[consumer] == 0:
-                heapq.heappush(self.ready, consumer)
 
 
 def diverging_component(prior: ExecutionIdentity, current: ExecutionIdentity) -> str:
@@ -438,10 +411,11 @@ def run(
 
     ``replay`` restores ledger hits; ``full`` re-executes everything (the
     ledger then re-verifies determinism via idempotent re-records).
-    ``schedule_rng`` randomizes the processing order; any schedule
+    ``schedule_rng`` draws the processing order from a seeded Kahn pass,
+    the same for the same graph and seed in any process; any schedule
     publishes identical artifacts and the decision list is always reported
     in topological order. A given ``run_id`` must name a run directory
-    (``check_run_id``); it is checked before any node runs.
+    (``check_name``); it is checked before any node runs.
     """
     if mode not in (FULL, REPLAY):
         raise ValueError(f"unknown run mode {mode!r}")
@@ -451,7 +425,7 @@ def run(
     if run_id is None:
         run_id = f"{time.time_ns():019d}-{uuid.uuid4().hex[:6]}"
     else:
-        check_run_id(run_id)
+        check_name(run_id, "run id")
     violations = validate_graph(workspace.graph, workspace.registry)
     if violations:
         raise DaglineError(
@@ -459,13 +433,14 @@ def run(
         )
 
     order = topological_order(workspace.graph)
+    schedule = order if schedule_rng is None else workspace.graph.kahn_pass(schedule_rng).order
     state = _RunState(workspace, mode)
     started = time.perf_counter()
 
     failure: ExecutorFailureError | None = None
     try:
-        while state.ready:
-            state.settle(state.pop_ready(schedule_rng))
+        for node_id in schedule:
+            state.settle(node_id)
     except ExecutorFailureError as exc:
         failure = exc
 

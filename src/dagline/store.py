@@ -38,7 +38,8 @@ reads every replay hit and every dependency input through it.
 and checks the ``produced_under`` identity it holds against its parts.
 
 Node ids and run ids become file names, so ``unsafe_name`` is the one rule
-for both: an empty name, ``.``, ``..``, or one holding ``/`` or NUL.
+for both: an empty name, ``.``, ``..``, or one holding ``/`` or NUL. A store
+refuses such a name with ``StorageError`` before it opens any file for it.
 """
 
 from __future__ import annotations
@@ -83,13 +84,11 @@ def unsafe_name(name: str) -> bool:
     return name in ("", ".", "..") or "/" in name or "\0" in name
 
 
-def check_run_id(run_id: str) -> str:
-    """``run_id`` itself, or ``StorageError`` if it cannot name a run directory."""
-    if unsafe_name(run_id):
-        raise StorageError(
-            f"invalid run id {run_id!r}: empty, '.', '..', or holds '/' or NUL"
-        )
-    return run_id
+def check_name(name: str, kind: str) -> str:
+    """``name`` itself, or ``StorageError`` if it cannot name a ``kind`` in a store."""
+    if unsafe_name(name):
+        raise StorageError(f"invalid {kind} {name!r}: empty, '.', '..', or holds '/' or NUL")
+    return name
 
 
 @dataclass(frozen=True, slots=True)
@@ -326,7 +325,7 @@ class BaseStore:
 
     def _history(self, node_id: str) -> dict[str, None]:
         if node_id not in self._histories:
-            self._histories[node_id] = self._load_history(node_id)
+            self._histories[node_id] = self._load_history(check_name(node_id, "node id"))
         return self._histories[node_id]
 
     def _write_report(self, run_id: str, payload: bytes) -> None:
@@ -471,10 +470,10 @@ class BaseStore:
         return [self._records[h] for h in matches]
 
     def put_run_report(self, run_id: str, payload: dict) -> None:
-        self._write_report(check_run_id(run_id), canonical_json_bytes(payload) + b"\n")
+        self._write_report(check_name(run_id, "run id"), canonical_json_bytes(payload) + b"\n")
 
     def get_run_report(self, run_id: str) -> dict:
-        return json.loads(self._read_report(check_run_id(run_id)))
+        return json.loads(self._read_report(check_name(run_id, "run id")))
 
     def list_runs(self) -> list[str]:
         return sorted(self._run_ids())

@@ -460,3 +460,54 @@ def test_run_makes_one_structural_validation_pass(project, capsys, monkeypatch):
     monkeypatch.setattr(dagline.graph, "_structural_violations", counting_pass)
     assert invoke(*run_args(project)) == 0
     assert len(passes) == 1
+
+
+def store_files(store: str) -> list[str]:
+    """Every file under the store but its lock, relative to it."""
+    root = FileStore(store).root
+    return sorted(
+        str(p.relative_to(root)) for p in root.rglob("*") if p.is_file() and p.name != ".lock"
+    )
+
+
+# ``{printed}`` is an artifact prefix as ``dagline run`` prints it.
+BAD_INPUTS = {
+    "lineage-non-hex": ("lineage", "--store", "{store}", "--artifact", "zz"),
+    "lineage-printed-prefix": ("lineage", "--store", "{store}", "--artifact", "{printed}"),
+    "validate-missing-manifest": ("validate", "{tmp}/missing.json"),
+    "run-missing-manifest": (
+        "run", "{tmp}/missing.json", "--store", "{store}", "--context", "{ctx}"),
+    "edit-missing-manifest": (
+        "edit", "{tmp}/missing.json", "--store", "{store}",
+        "--context-edit", "fetch:raw:{ctx}/fetch/raw"),
+    "context-edit-missing-file": (
+        "edit", "{manifest}", "--store", "{store}",
+        "--context-edit", "fetch:raw:{tmp}/missing.txt"),
+    "artifact-edit-missing-file": (
+        "edit", "{manifest}", "--store", "{store}", "--artifact-edit", "digest:{tmp}/missing.txt"),
+    "context-edit-malformed-spec": (
+        "edit", "{manifest}", "--store", "{store}", "--context-edit", "fetch:raw"),
+}
+
+
+@pytest.mark.parametrize("argv", list(BAD_INPUTS.values()), ids=list(BAD_INPUTS))
+def test_bad_input_exits_two_with_one_error_line(project, capsys, argv):
+    assert invoke(*run_args(project)) == 0
+    printed = capsys.readouterr().out.split()[3]
+    before = store_files(project["store"])
+    assert invoke(*(a.format(printed=printed, **project) for a in argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert store_files(project["store"]) == before
+
+
+def test_lineage_of_a_node_id_outside_the_store_touches_no_file(project, capsys):
+    victim = project["tmp"] / "victim.txt"
+    victim.write_bytes(b"kept line\ntorn tail")  # a history load would cut the tail
+    assert invoke(*run_args(project)) == 0
+    capsys.readouterr()
+    assert invoke("lineage", "--store", project["store"], "--node", "../../victim.txt") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert victim.read_bytes() == b"kept line\ntorn tail"

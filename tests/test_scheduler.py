@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import dagline
 from dagline.errors import ExecutorFailureError
 from dagline.executors import default_registry, synthesize
 from dagline.graph import (
@@ -206,3 +211,39 @@ class TestSeededScheduleCost:
         default = best_cpu()
         seeded = best_cpu(schedule_rng=random.Random(11))
         assert seeded < 2.5 * default, (seeded, default)
+
+
+# One seeded FULL run of the lattice; prints the executor call order.
+SEEDED_LATTICE_RUN = """
+import random
+from dataclasses import replace
+from conftest import workspace_for
+from test_scheduler import as_recording, lattice_graph, recording_registry
+from dagline.runtime import FULL, run
+calls = []
+graph = as_recording(lattice_graph())
+run(replace(workspace_for(graph), registry=recording_registry(calls)), FULL,
+    schedule_rng=random.Random(3))
+print(" ".join(calls))
+"""
+
+
+class TestSeededScheduleReproduces:
+    def test_seeded_order_is_the_same_in_every_process(self):
+        """String hashing differs per process; a seeded order must not follow it."""
+        path = os.pathsep.join(
+            [str(Path(dagline.__file__).parents[1]), str(Path(__file__).parent)]
+        )
+        orders = set()
+        for hash_seed in ("1", "2", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+            done = subprocess.run(
+                [sys.executable, "-c", SEEDED_LATTICE_RUN],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            orders.add(done.stdout)
+        assert len(orders) == 1, orders
+        calls = orders.pop().split()
+        graph = lattice_graph()
+        assert sorted(calls) == sorted(graph.nodes)
+        assert calls != topological_order(graph)  # the seed really reorders

@@ -676,3 +676,23 @@ def test_lost_sidecar_is_rewritten_by_the_next_put(tmp_path):
     (tmp_path / "store" / "objects" / hex_id[:2] / f"{hex_id[2:]}.json").unlink()
     run(workspace, FULL)
     assert store.get_artifact(artifact_id).producer == "retrieval"
+
+
+ESCAPING_NODE_ID = "../../victim"  # from <store>/nodes, the store's parent directory
+
+
+@pytest.mark.parametrize(
+    "call", ["node_history", "prior_record", "latest_record_for_node", "record_execution"]
+)
+def test_node_id_outside_the_store_is_refused_before_any_file(tmp_path, call):
+    victim = tmp_path / "victim"
+    victim.write_bytes(b"kept line\ntorn tail")  # a history load would cut the tail
+    store = FileStore(tmp_path / "store")
+    if call == "record_execution":
+        record = record_for(store, b"escape", b"escape output")
+        args = (dataclasses.replace(record, node_id=ESCAPING_NODE_ID),)
+    else:
+        args = (ESCAPING_NODE_ID,)
+    with pytest.raises(StorageError, match="invalid node id"):
+        getattr(store, call)(*args)
+    assert victim.read_bytes() == b"kept line\ntorn tail"
