@@ -316,10 +316,11 @@ def _cmd_lineage(args: argparse.Namespace) -> int:
     else:
         records = store.records_for_artifact(artifact_id)
         if not records:
-            if args.artifact in overrides:
-                print(f"{overrides[args.artifact]} [pinned] {args.artifact[:12]}")
+            hex_id = artifact_id.hex
+            if hex_id in overrides:
+                print(f"{overrides[hex_id]} [pinned] {hex_id[:12]}")
                 return 0
-            raise DaglineError(f"no execution produced artifact {args.artifact[:12]}")
+            raise DaglineError(f"no execution produced artifact {hex_id[:12]}")
         _print_lineage(store, records[0], overrides)
     return 0
 
@@ -395,7 +396,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     for node in nodes:
         a = report_a.final_artifacts.get(node)
         b = report_b.final_artifacts.get(node)
-        if a is not None and b is not None and a.hex == b.hex:
+        if a is not None and a == b:
             status = "same"
         else:
             status = "changed"

@@ -164,7 +164,6 @@ def synthesize(spec: NodeSpec, state: ResolvedLocalState) -> NodeResult:
         for _ in range(work_passes):
             for _, _, content in surface:
                 scratch.update(content)
-        scratch.digest()
 
     lines = ["synthesis/v1", f"node: {spec.node_id}", f"instructions: {config_digest(spec)}"]
     body: dict[str, None] = {}

@@ -36,21 +36,23 @@ def canonical_json_bytes(value: Any) -> bytes:
     ).encode("utf-8")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ContentHash:
-    """A SHA-256 digest rendered lowercase-hex wherever it leaves the process."""
+    """A SHA-256 digest, held only as the 64 lowercase hex digits FORMATS writes.
 
-    digest: bytes
+    ``ContentHash(digest)`` and ``from_hex`` (of any case) check; ``trusted_hash`` does not.
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.digest) != DIGEST_SIZE:
-            raise ValueError(
-                f"digest must be exactly {DIGEST_SIZE} bytes, got {len(self.digest)}"
-            )
+    hex: str
+
+    def __init__(self, digest: bytes) -> None:
+        if len(digest) != DIGEST_SIZE:
+            raise ValueError(f"digest must be exactly {DIGEST_SIZE} bytes, got {len(digest)}")
+        object.__setattr__(self, "hex", digest.hex())
 
     @property
-    def hex(self) -> str:
-        return self.digest.hex()
+    def digest(self) -> bytes:
+        return bytes.fromhex(self.hex)
 
     @classmethod
     def from_hex(cls, text: str) -> ContentHash:
@@ -60,9 +62,19 @@ class ContentHash:
         return self.hex
 
 
+_set_hex = ContentHash.hex.__set__
+
+
+def trusted_hash(hex_text: str) -> ContentHash:
+    """Unchecked: only for the 64 lowercase hex digits ``hashlib`` or ``check_entry`` gave."""
+    content_hash = object.__new__(ContentHash)
+    _set_hex(content_hash, hex_text)
+    return content_hash
+
+
 def hash_content(content: bytes) -> ContentHash:
     """Hash raw bytes. The empty input yields the standard SHA-256 empty digest."""
-    return ContentHash(hashlib.sha256(content).digest())
+    return trusted_hash(hashlib.sha256(content).hexdigest())
 
 
 def canonical_bytes(spec: NodeSpec) -> bytes:
@@ -128,14 +140,14 @@ class ExecutionIdentity:
     def __post_init__(self) -> None:
         object.__setattr__(self, "predecessors", dict(self.predecessors))
         expected = self._recompute()
-        if expected.digest != self.value.digest:
+        if expected != self.value:
             raise ValueError(
                 "execution identity does not verify: "
                 f"stored {self.value.hex[:12]}, recomputed {expected.hex[:12]}"
             )
 
     def verify(self) -> bool:
-        return self._recompute().digest == self.value.digest
+        return self._recompute() == self.value
 
     def _recompute(self) -> ContentHash:
         preds = {port: h.hex for port, h in self.predecessors.items()}
@@ -185,13 +197,8 @@ def compute_execution_identity(
     self-verification, which would hash the same document again, is skipped.
     """
     preds = dict(predecessors or {})
-    hexes = {port: h.hex for port, h in preds.items()}
-    identity = object.__new__(ExecutionIdentity)
-    object.__setattr__(identity, "value", _identity_value(spec_hash.hex, input_hash.hex, hexes))
-    object.__setattr__(identity, "spec_hash", spec_hash)
-    object.__setattr__(identity, "input_hash", input_hash)
-    object.__setattr__(identity, "predecessors", preds)
-    return identity
+    value = _identity_value(spec_hash.hex, input_hash.hex, {p: h.hex for p, h in preds.items()})
+    return unchecked(ExecutionIdentity, value, spec_hash, input_hash, preds)
 
 
 def identity_to_doc(identity: ExecutionIdentity) -> dict:
@@ -225,7 +232,7 @@ def identity_from_doc(doc: Mapping[str, Any]) -> ExecutionIdentity:
     """Decode an identity document, checking its stored value against its parts."""
     spec, inputs = ContentHash.from_hex(doc["spec"]), ContentHash.from_hex(doc["inputs"])
     preds = {p: ContentHash.from_hex(h) for p, h in doc["preds"].items()}
-    value = ContentHash.from_hex(verified_value_hex(doc))
+    value = trusted_hash(verified_value_hex(doc))
     return unchecked(ExecutionIdentity, value, spec, inputs, preds)
 
 

@@ -382,15 +382,12 @@ class _RunState:
 
 def diverging_component(prior: ExecutionIdentity, current: ExecutionIdentity) -> str:
     """First identity component that moved: spec, input, or predecessor:<port>."""
-    if prior.spec_hash.hex != current.spec_hash.hex:
+    if prior.spec_hash != current.spec_hash:
         return "spec"
-    if prior.input_hash.hex != current.input_hash.hex:
+    if prior.input_hash != current.input_hash:
         return "input"
-    ports = sorted(set(prior.predecessors) | set(current.predecessors))
-    for port in ports:
-        a = prior.predecessors.get(port)
-        b = current.predecessors.get(port)
-        if a is None or b is None or a.hex != b.hex:
+    for port in sorted(set(prior.predecessors) | set(current.predecessors)):
+        if prior.predecessors.get(port) != current.predecessors.get(port):
             return f"predecessor:{port}"
     return "none"
 

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -232,6 +235,19 @@ class TestLineageExplainDiff:
         out = capsys.readouterr().out
         assert "[pinned]" in out
         assert "digest" in out
+
+    def test_lineage_of_a_pinned_artifact_takes_uppercase_hex(self, project, capsys):
+        invoke(*run_args(project))
+        pin = project["tmp"] / "pin.txt"
+        pin.write_bytes(b"operator memo\n")
+        invoke("edit", project["manifest"], "--store", project["store"],
+               "--artifact-edit", f"memo:{pin}")
+        [entry] = json.loads((project["tmp"] / "store" / "edits.json").read_bytes())
+        hex_id = entry["artifact"]
+        capsys.readouterr()
+        for text in (hex_id, hex_id.upper()):
+            assert invoke("lineage", "--store", project["store"], "--artifact", text) == 0
+            assert capsys.readouterr().out == f"memo [pinned] {hex_id[:12]}\n"
 
     def test_explain_latest_run(self, project, capsys):
         invoke(*run_args(project))
@@ -511,3 +527,11 @@ def test_lineage_of_a_node_id_outside_the_store_touches_no_file(project, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert victim.read_bytes() == b"kept line\ntorn tail"
+
+
+def test_python_dash_m_runs_the_command_line():
+    repo = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")]))
+    manifest = repo / "demos" / "sample_workflow" / "manifest.json"
+    argv = [sys.executable, "-m", "dagline", "validate", str(manifest)]
+    assert subprocess.run(argv, env=dict(os.environ, PYTHONPATH=path)).returncode == 0

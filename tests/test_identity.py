@@ -20,6 +20,7 @@ from dagline.identity import (
     compute_input_hash,
     hash_content,
     hash_spec,
+    trusted_hash,
 )
 
 # SHA-256 of b"" and b"abc": published test vectors.
@@ -45,6 +46,18 @@ class TestHashContent:
     def test_digest_length_enforced(self):
         with pytest.raises(ValueError):
             ContentHash(b"short")
+
+    def test_every_constructor_gives_one_value_held_as_hex(self):
+        raw = bytes.fromhex(ABC_SHA)
+        built = [
+            hash_content(b"abc"), trusted_hash(ABC_SHA), ContentHash(raw),
+            ContentHash.from_hex(ABC_SHA), ContentHash.from_hex(ABC_SHA.upper()),
+        ]
+        assert ContentHash.__slots__ == ("hex",)
+        assert all(h == built[0] and hash(h) == hash(built[0]) for h in built)
+        assert {h: i for i, h in enumerate(built)} == {built[0]: len(built) - 1}
+        assert all(h.hex == ABC_SHA and str(h) == ABC_SHA and h.digest == raw for h in built)
+        assert ContentHash.from_hex(EMPTY_SHA) != built[0]
 
 
 class TestCanonicalBytes:

@@ -20,7 +20,7 @@ from dagline.errors import (
 )
 from dagline.graph import WorkflowGraph
 from dagline.identity import compute_execution_identity, hash_content
-from dagline.runtime import FULL, run
+from dagline.runtime import FULL, REPLAYED, run
 from dagline.store import (
     TEMP_MARK,
     ExecutionRecord,
@@ -664,6 +664,29 @@ class TestReopenScale:
         store = profile.runcall(FileStore, root)
         assert pstats.Stats(profile).total_calls <= 47 * entries
         assert len(list(store.records())) == entries
+
+
+class TestRunPathScale:
+    """A warm replay is counted, not timed: Python calls per node of a 20x20 lattice."""
+
+    @pytest.mark.parametrize("backend, bound", [("memory", 70), ("file", 125)])
+    def test_replay_makes_a_bounded_number_of_calls_per_node(self, tmp_path, backend, bound):
+        import cProfile
+        import pstats
+
+        from test_scheduler import lattice_graph
+
+        graph = lattice_graph(20, 20)
+        workspace = workspace_for(graph)
+        if backend == "file":
+            workspace = dataclasses.replace(workspace, store=FileStore(tmp_path / "store"))
+        run(workspace, FULL)
+        if backend == "file":  # the replay reads every hit's entry from disk
+            workspace = dataclasses.replace(workspace, store=FileStore(tmp_path / "store"))
+        profile = cProfile.Profile()
+        report = profile.runcall(run, workspace)
+        assert pstats.Stats(profile).total_calls <= bound * len(graph.nodes)
+        assert {d.action for d in report.decisions} == {REPLAYED}
 
 
 def test_lost_sidecar_is_rewritten_by_the_next_put(tmp_path):
