@@ -4,7 +4,7 @@
     dagline run MANIFEST --store DIR --context DIR [--mode replay|full]
     dagline edit MANIFEST --store DIR --context-edit node:port:file
     dagline edit MANIFEST --store DIR --artifact-edit node:file
-    dagline lineage --store DIR (--node ID | --artifact HEX)
+    dagline lineage --store DIR (--node ID | --artifact HEX_PREFIX)
     dagline explain --store DIR --node ID [--run RUN_ID]
     dagline diff --store DIR RUN_A RUN_B
     dagline experiment TASK [--repeats N] [--seed S] [--out DIR]
@@ -18,12 +18,11 @@ editing and re-running stay separate steps.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
-from dagline.errors import DaglineError, ManifestError, StorageError
+from dagline.errors import DaglineError, ManifestError
 from dagline.evaluation.scenarios import TASKS
 from dagline.evaluation.experiment import run_experiment
 from dagline.graph import (
@@ -44,7 +43,7 @@ from dagline.runtime import (
     report_from_doc,
     run,
 )
-from dagline.store import CONTEXT_INPUT, BaseStore, ExecutionRecord, FileStore, _atomic_write
+from dagline.store import CONTEXT_INPUT, BaseStore, ExecutionRecord, FileStore, _atomic_write, _decode
 
 try:
     import fcntl
@@ -102,7 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _store_arg(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--node")
-    group.add_argument("--artifact", help="artifact hash (lowercase hex)")
+    group.add_argument("--artifact", help="artifact hash or a unique prefix of it (hex)")
     p.set_defaults(handler=_cmd_lineage)
 
     p = sub.add_parser("explain", help="why a node was replayed or recomputed")
@@ -224,7 +223,7 @@ def _read_edit_log(store: FileStore) -> list[dict]:
     path = _edit_log_path(store)
     if not path.exists():
         return []
-    return json.loads(path.read_text(encoding="utf-8"))
+    return _decode(path.read_bytes(), "edit log", path)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -301,26 +300,30 @@ def _overrides_by_artifact(store: FileStore) -> dict[str, str]:
 
 
 def _cmd_lineage(args: argparse.Namespace) -> int:
-    if args.artifact:
-        try:
-            artifact_id = ContentHash.from_hex(args.artifact)
-        except ValueError:
-            raise UsageError(f"--artifact needs all 64 hex digits: {args.artifact!r}") from None
+    if args.artifact is not None:
+        prefix = args.artifact.lower()
+        if len(prefix) > 64 or not set(prefix) <= set("0123456789abcdef"):
+            raise UsageError(f"--artifact is not a hex prefix: {args.artifact!r}")
     store = _open_store(args)
     overrides = _overrides_by_artifact(store)
-    if args.node:
+    if args.node is not None:
         record = store.latest_record_for_node(args.node)
         if record is None:
             raise DaglineError(f"no execution recorded for node {args.node!r}")
         _print_lineage(store, record, overrides)
     else:
-        records = store.records_for_artifact(artifact_id)
+        known = {r.canonical_artifact.hex for r in store.records()} | overrides.keys()
+        matches = sorted(h for h in known if h.startswith(prefix))
+        if not matches:
+            raise DaglineError(f"no execution produced artifact {prefix[:12]}")
+        if len(matches) > 1:
+            raise UsageError(f"--artifact {prefix!r} matches {len(matches)} artifacts: "
+                             + ", ".join(matches))
+        [hex_id] = matches
+        records = store.records_for_artifact(ContentHash.from_hex(hex_id))
         if not records:
-            hex_id = artifact_id.hex
-            if hex_id in overrides:
-                print(f"{overrides[hex_id]} [pinned] {hex_id[:12]}")
-                return 0
-            raise DaglineError(f"no execution produced artifact {hex_id[:12]}")
+            print(f"{overrides[hex_id]} [pinned] {hex_id[:12]}")
+            return 0
         _print_lineage(store, records[0], overrides)
     return 0
 
@@ -374,10 +377,9 @@ def _load_report(store: FileStore, run_id: str | None) -> RunReport:
         raise DaglineError("store has no recorded runs")
     if run_id is None:
         run_id = runs[-1]
-    try:
-        return report_from_doc(store.get_run_report(run_id))
-    except StorageError:
-        raise DaglineError(f"no run report {run_id!r}") from None
+    elif run_id not in runs:
+        raise DaglineError(f"no run report {run_id!r}")
+    return report_from_doc(store.get_run_report(run_id))
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:

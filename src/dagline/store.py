@@ -7,22 +7,22 @@ same identity is rejected as a determinism violation.
 
 Two backends share the same semantics: ``FileStore`` persists to a directory
 (``objects/``, ``executions/``, ``runs/``, ``nodes/``) and ``MemoryStore``
-keeps everything in dicts for tests and experiments. ``BaseStore`` holds the
-two indexes, the ledger (identity hex to ``ExecutionRecord``) and the node
-histories (node id to an insertion-ordered dict of the identity hexes
-recorded for it; an identity appended twice keeps its first position), and
-passes artifact metadata as values (``produced_under`` is an
-``ExecutionIdentity``); only ``FileStore`` encodes and decodes the
-docs/FORMATS.md documents, the ledger entry and the artifact sidecar, and
-reads and appends the history files. Writes are serialized by an internal
-lock; concurrent identical writes are idempotent.
+keeps everything in dicts for tests and experiments. ``BaseStore`` holds
+values: the ledger (identity hex to ``ExecutionRecord``), the node histories
+(node id to an insertion-ordered dict of the identity hexes recorded for
+it; an identity appended twice keeps its first position) and artifact
+metadata (``produced_under`` is an ``ExecutionIdentity``). ``FileStore``
+alone encodes the docs/FORMATS.md documents (ledger entries, sidecars and
+run reports), decodes them, the entries it kept at open included, reads and
+appends the history files and rewrites a lost sidecar. Writes are
+serialized by an internal lock; concurrent identical writes are idempotent.
 
 A handle loads the ledger at open and a node's history on its first use,
 then extends both with its own writes; another handle's writes become
 visible after a reopen. A FileStore checks every ledger entry at open
 (``check_entry``: one SHA-256 of the identity document, built from the
 hex strings of its parts, and a shape check of every other hash) and keeps
-the entry's bytes; ``BaseStore._record`` builds its ``ExecutionRecord``
+the entry's bytes; ``FileStore._record`` builds its ``ExecutionRecord``
 (``record_from_doc``, which checks nothing again) on its first lookup and
 keeps the record in the bytes' place. A ``ContentHash`` holds only its hex
 string, and the records one handle builds share these objects. A new
@@ -41,11 +41,14 @@ and checks the ``produced_under`` identity it holds against its parts.
 Node ids and run ids become file names, so ``unsafe_name`` is the one rule
 for both: an empty name, ``.``, ``..``, or one holding ``/`` or NUL. A store
 refuses such a name with ``StorageError`` before it opens any file for it.
+A FileStore document that does not decode (a ledger entry, a sidecar or a
+run report) fails with ``StorageError`` naming its file.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import json
 import os
 import threading
@@ -259,33 +262,27 @@ def record_bytes(record: ExecutionRecord) -> bytes:
 
 
 class BaseStore:
-    """Semantics shared by both backends; subclasses provide the primitives.
+    """Semantics shared by both backends, on values; subclasses provide the primitives.
 
     The ledger index ``_records`` and the histories ``_histories`` live here
-    for both backends. A ledger value is an ``ExecutionRecord`` or, in a
-    FileStore, the raw bytes of an entry checked at open; ``_record`` is the
-    one reader of the index, and turns kept bytes into a record on first use.
+    for both backends. ``_record`` is the one reader of the index; a
+    FileStore overrides it to decode the entry bytes it kept at open.
     Artifact metadata travels as ``{"content_type", "created_at", "producer",
-    "produced_under"}`` with the identity object (or ``None``) as its value.
+    "produced_under"}`` with the identity object (or ``None``) as its value,
+    and each backend keeps run reports its own way.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._records: dict[str, ExecutionRecord | bytes] = {}
+        self._records: dict[str, ExecutionRecord] = {}
         self._histories: dict[str, dict[str, None]] = {}
 
     # -- primitives supplied by subclasses ---------------------------------
     def _has_object(self, hex_id: str) -> bool:
         raise NotImplementedError
 
-    def _write_object(self, hex_id: str, content: bytes, meta: dict) -> None:
-        raise NotImplementedError
-
-    def _has_meta(self, hex_id: str) -> bool:
-        """Whether a stored object's metadata is stored too."""
-        raise NotImplementedError
-
-    def _write_meta(self, hex_id: str, meta: dict) -> None:
+    def _store_object(self, hex_id: str, content: bytes, meta: dict) -> None:
+        """Keep the bytes and their metadata unless both are kept already; under the lock."""
         raise NotImplementedError
 
     def _read_bytes(self, hex_id: str) -> bytes:
@@ -302,15 +299,8 @@ class BaseStore:
     def _put_record(self, hex_identity: str, record: ExecutionRecord) -> None:
         self._records[hex_identity] = record
 
-    def _decode_record(self, raw: bytes) -> ExecutionRecord:
-        """The record of a ledger entry's bytes, kept by open after checking them."""
-        raise NotImplementedError
-
     def _record(self, hex_identity: str) -> ExecutionRecord | None:
-        entry = self._records.get(hex_identity)
-        if entry.__class__ is bytes:
-            entry = self._records[hex_identity] = self._decode_record(entry)
-        return entry
+        return self._records.get(hex_identity)
 
     def _load_history(self, node_id: str) -> dict[str, None]:
         return {}
@@ -322,12 +312,6 @@ class BaseStore:
         if node_id not in self._histories:
             self._histories[node_id] = self._load_history(check_name(node_id, "node id"))
         return self._histories[node_id]
-
-    def _write_report(self, run_id: str, payload: bytes) -> None:
-        raise NotImplementedError
-
-    def _read_report(self, run_id: str) -> bytes:
-        raise NotImplementedError
 
     def _run_ids(self) -> list[str]:
         raise NotImplementedError
@@ -342,24 +326,18 @@ class BaseStore:
     ) -> ContentHash:
         """Persist bytes at their content hash; idempotent for identical content.
 
-        Stored bytes whose metadata is missing get it written again; only a
-        put of bytes already stored pays to look for it.
+        The first put of some bytes fixes their metadata; a later put keeps
+        it, and a FileStore writes it again only if the sidecar was lost.
         """
         artifact_id = hash_content(content)
-        hex_id = artifact_id.hex
+        meta = {
+            "content_type": content_type,
+            "created_at": time.time(),
+            "producer": producer,
+            "produced_under": produced_under,
+        }
         with self._lock:
-            exists = self._has_object(hex_id)
-            if not exists or not self._has_meta(hex_id):
-                meta = {
-                    "content_type": content_type,
-                    "created_at": time.time(),
-                    "producer": producer,
-                    "produced_under": produced_under,
-                }
-                if exists:  # the metadata was lost after the bytes were written
-                    self._write_meta(hex_id, meta)
-                else:
-                    self._write_object(hex_id, content, meta)
+            self._store_object(artifact_id.hex, content, meta)
         return artifact_id
 
     def read_artifact(self, artifact_id: ContentHash) -> bytes:
@@ -462,34 +440,33 @@ class BaseStore:
         matches = sorted(
             h for h in self._records if self._record(h).canonical_artifact == artifact_id
         )
-        return [self._records[h] for h in matches]
+        return [self._record(h) for h in matches]
 
-    def put_run_report(self, run_id: str, payload: dict) -> None:
-        self._write_report(check_name(run_id, "run id"), canonical_json_bytes(payload) + b"\n")
+    def put_run_report(self, run_id: str, doc: dict) -> None:
+        """Keep a run's report under ``run_id`` (``check_name``); a MemoryStore keeps ``doc``."""
+        raise NotImplementedError
 
     def get_run_report(self, run_id: str) -> dict:
-        return json.loads(self._read_report(check_name(run_id, "run id")))
+        """A fresh copy of the report document; ``StorageError`` if there is none."""
+        raise NotImplementedError
 
     def list_runs(self) -> list[str]:
         return sorted(self._run_ids())
 
 
 class MemoryStore(BaseStore):
-    """Dict-backed store; same contract as FileStore, no persistence."""
+    """Dict-backed store; same contract as FileStore, no persistence, no encoding."""
 
     def __init__(self) -> None:
         super().__init__()
         self._objects: dict[str, tuple[bytes, dict]] = {}
-        self._reports: dict[str, bytes] = {}
+        self._reports: dict[str, dict] = {}
 
     def _has_object(self, hex_id: str) -> bool:
         return hex_id in self._objects
 
-    def _write_object(self, hex_id: str, content: bytes, meta: dict) -> None:
-        self._objects[hex_id] = (content, meta)
-
-    def _has_meta(self, hex_id: str) -> bool:
-        return True  # an object is stored with its metadata, in one value
+    def _store_object(self, hex_id: str, content: bytes, meta: dict) -> None:
+        self._objects.setdefault(hex_id, (content, meta))  # one value: bytes and metadata
 
     def _read_bytes(self, hex_id: str) -> bytes:
         try:
@@ -503,12 +480,12 @@ class MemoryStore(BaseStore):
     def _object_ids(self) -> list[str]:
         return list(self._objects)
 
-    def _write_report(self, run_id: str, payload: bytes) -> None:
-        self._reports[run_id] = payload
+    def put_run_report(self, run_id: str, doc: dict) -> None:
+        self._reports[check_name(run_id, "run id")] = doc
 
-    def _read_report(self, run_id: str) -> bytes:
+    def get_run_report(self, run_id: str) -> dict:
         try:
-            return self._reports[run_id]
+            return copy.deepcopy(self._reports[check_name(run_id, "run id")])
         except KeyError:
             raise StorageError(f"no run report {run_id!r}") from None
 
@@ -531,13 +508,14 @@ class FileStore(BaseStore):
     of its parts and compared with the stored value and the file name, and
     every other hash must be the lowercase hex of a digest, so a bad entry
     fails the open, not a later lookup. The entry's bytes go into
-    BaseStore's index, and its ``ExecutionRecord`` is built when it is first
-    looked up, so a fresh handle sees exactly what was recorded. A node's
+    BaseStore's index, and ``_record`` builds its ``ExecutionRecord`` when it
+    is first looked up, so a fresh handle sees exactly what was recorded. A node's
     history file is read once per handle, on the node's first use, and a torn last line left by
     an interrupted append is cut off then. Leftover temp files are never
     read as entries or objects, and a run without its report is not listed.
-    This class alone encodes and decodes the ledger entries and the
-    sidecars; the rest of the store sees values. Paths on the run path are
+    This class alone encodes and decodes the ledger entries, the sidecars
+    and the run reports, and rewrites a sidecar lost after its object was
+    written; the rest of the store sees values. Paths on the run path are
     joined as strings from the directories fixed at open, and a handle
     creates each object shard directory at most once.
     """
@@ -578,25 +556,25 @@ class FileStore(BaseStore):
     def _has_object(self, hex_id: str) -> bool:
         return os.path.exists(self._object_file(hex_id))
 
-    def _write_object(self, hex_id: str, content: bytes, meta: dict) -> None:
-        shard = hex_id[:2]
-        if shard not in self._shards:
-            os.makedirs(f"{self._objects_dir}/{shard}", exist_ok=True)
-            self._shards.add(shard)
-        # The sidecar goes first: ``_has_object`` checks only the bytes, so a
-        # failure between the two writes leaves an object put_artifact rewrites.
-        self._write_meta(hex_id, meta)
-        _atomic_write(self._object_file(hex_id), content)
-
-    def _has_meta(self, hex_id: str) -> bool:
-        return os.path.exists(self._object_file(hex_id) + ".json")
-
-    def _write_meta(self, hex_id: str, meta: dict) -> None:
+    def _store_object(self, hex_id: str, content: bytes, meta: dict) -> None:
+        path = self._object_file(hex_id)
+        exists = os.path.exists(path)
+        if exists and os.path.exists(path + ".json"):
+            return
+        if not exists:
+            shard = hex_id[:2]
+            if shard not in self._shards:
+                os.makedirs(f"{self._objects_dir}/{shard}", exist_ok=True)
+                self._shards.add(shard)
         identity = meta["produced_under"]
         sidecar = dict(
             meta, produced_under=None if identity is None else identity_to_doc(identity)
         )
-        _atomic_write(self._object_file(hex_id) + ".json", canonical_json_bytes(sidecar) + b"\n")
+        # The sidecar goes first: ``_has_object`` checks only the bytes, so a failure
+        # between the two writes leaves no object, and the next put writes both.
+        _atomic_write(path + ".json", canonical_json_bytes(sidecar) + b"\n")
+        if not exists:
+            _atomic_write(path, content)
 
     def _read_bytes(self, hex_id: str) -> bytes:
         try:
@@ -608,9 +586,10 @@ class FileStore(BaseStore):
             raise StorageError(f"cannot read artifact {hex_id[:12]}: {exc}") from exc
 
     def _read_meta(self, hex_id: str) -> dict:
+        path = self._object_file(hex_id) + ".json"
         try:
-            with open(self._object_file(hex_id) + ".json", "rb") as fh:
-                meta = json.loads(fh.read())
+            with open(path, "rb") as fh:
+                meta = _decode(fh.read(), "artifact sidecar", path)
         except OSError as exc:
             raise StorageError(f"cannot read artifact {hex_id[:12]}: {exc}") from exc
         doc = meta["produced_under"]
@@ -631,8 +610,12 @@ class FileStore(BaseStore):
         _atomic_write(f"{self._executions_dir}/{hex_identity}", record_bytes(record))
         super()._put_record(hex_identity, record)
 
-    def _decode_record(self, raw: bytes) -> ExecutionRecord:
-        return record_from_doc(json.loads(raw.decode()), self._hashes)
+    def _record(self, hex_identity: str) -> ExecutionRecord | None:
+        entry = self._records.get(hex_identity)
+        if entry.__class__ is bytes:  # checked at open; decoded on first lookup
+            entry = record_from_doc(json.loads(entry.decode()), self._hashes)
+            self._records[hex_identity] = entry
+        return entry
 
     def _load_history(self, node_id: str) -> dict[str, None]:
         path = f"{self._nodes_dir}/{node_id}"
@@ -658,21 +641,32 @@ class FileStore(BaseStore):
             raise StorageError(f"cannot append history of {node_id!r}: {exc}") from exc
         super()._append_history(node_id, hex_identity)
 
+    def put_run_report(self, run_id: str, doc: dict) -> None:
+        self._write_report(check_name(run_id, "run id"), canonical_json_bytes(doc) + b"\n")
+
     def _write_report(self, run_id: str, payload: bytes) -> None:
         run_dir = self.root / "runs" / run_id
         run_dir.mkdir(parents=True, exist_ok=True)
         _atomic_write(run_dir / "report", payload)
 
-    def _read_report(self, run_id: str) -> bytes:
-        path = self.root / "runs" / run_id / "report"
+    def get_run_report(self, run_id: str) -> dict:
+        path = self.root / "runs" / check_name(run_id, "run id") / "report"
         try:
-            return path.read_bytes()
+            return _decode(path.read_bytes(), "run report", path)
         except OSError:
             raise StorageError(f"no run report {run_id!r}") from None
 
     def _run_ids(self) -> list[str]:
         # A run exists once its report does; a crash mid-write leaves only a temp file.
         return [p.name for p in (self.root / "runs").iterdir() if (p / "report").is_file()]
+
+
+def _decode(raw: bytes, kind: str, path: str | Path):
+    """The JSON document in ``raw``, or ``StorageError`` naming the ``kind`` of file and its path."""
+    try:
+        return json.loads(raw)
+    except ValueError as exc:
+        raise StorageError(f"unreadable {kind} {path}: {exc}") from exc
 
 
 def _atomic_write(path: str | Path, payload: bytes) -> None:

@@ -489,7 +489,8 @@ def store_files(store: str) -> list[str]:
 # ``{printed}`` is an artifact prefix as ``dagline run`` prints it.
 BAD_INPUTS = {
     "lineage-non-hex": ("lineage", "--store", "{store}", "--artifact", "zz"),
-    "lineage-printed-prefix": ("lineage", "--store", "{store}", "--artifact", "{printed}"),
+    # The empty prefix starts every hash, so it matches all three of the run's artifacts.
+    "lineage-ambiguous-prefix": ("lineage", "--store", "{store}", "--artifact", ""),
     "validate-missing-manifest": ("validate", "{tmp}/missing.json"),
     "run-missing-manifest": (
         "run", "{tmp}/missing.json", "--store", "{store}", "--context", "{ctx}"),
@@ -535,3 +536,89 @@ def test_python_dash_m_runs_the_command_line():
     manifest = repo / "demos" / "sample_workflow" / "manifest.json"
     argv = [sys.executable, "-m", "dagline", "validate", str(manifest)]
     assert subprocess.run(argv, env=dict(os.environ, PYTHONPATH=path)).returncode == 0
+
+
+HEX_DIGITS = "0123456789abcdef"
+
+
+def printed_artifacts(out: str) -> dict[str, str]:
+    """Node id to artifact prefix, from the decision lines ``dagline run`` prints."""
+    return {line.split()[0]: line.split()[3] for line in out.splitlines()
+            if not line.startswith("report:")}
+
+
+def test_lineage_takes_the_artifact_prefix_run_prints(project, capsys):
+    assert invoke(*run_args(project)) == 0
+    printed = printed_artifacts(capsys.readouterr().out)["digest"]
+    assert invoke("lineage", "--store", project["store"], "--node", "digest") == 0
+    expected = capsys.readouterr().out
+    for text in (printed, printed.upper()):
+        assert invoke("lineage", "--store", project["store"], "--artifact", text) == 0
+        assert capsys.readouterr().out == expected
+
+
+def test_lineage_takes_a_prefix_of_a_pinned_artifact(project, capsys):
+    assert invoke(*run_args(project)) == 0
+    pin = project["tmp"] / "pin.txt"
+    pin.write_bytes(b"operator memo\n")
+    assert invoke("edit", project["manifest"], "--store", project["store"],
+                  "--artifact-edit", f"memo:{pin}") == 0
+    [entry] = json.loads((project["tmp"] / "store" / "edits.json").read_bytes())
+    capsys.readouterr()
+    prefix = entry["artifact"][:12]
+    assert invoke("lineage", "--store", project["store"], "--artifact", prefix) == 0
+    assert capsys.readouterr().out == f"memo [pinned] {prefix}\n"
+
+
+WIDE_SOURCES = 17  # 17 distinct hashes over 16 first hex digits: two share one
+
+
+def test_ambiguous_prefix_exits_two_and_lists_its_matches(tmp_path, capsys):
+    ids = [f"s{i:02d}" for i in range(WIDE_SOURCES)]
+    manifest = tmp_path / "wide.json"
+    manifest.write_text(json.dumps({"nodes": [MANIFEST["nodes"][0] | {"id": i} for i in ids],
+                                    "edges": []}))
+    for node_id in ids:
+        (tmp_path / "ctx" / node_id).mkdir(parents=True)
+        (tmp_path / "ctx" / node_id / "raw").write_bytes(f"{node_id} source\n".encode())
+    store = str(tmp_path / "store")
+    assert invoke("run", str(manifest), "--store", store, "--context", str(tmp_path / "ctx")) == 0
+    artifacts = set(printed_artifacts(capsys.readouterr().out).values())
+    assert len(artifacts) == WIDE_SOURCES
+    digit = next(d for d in HEX_DIGITS if sum(a.startswith(d) for a in artifacts) > 1)
+    matches = sorted(a for a in artifacts if a.startswith(digit))
+    before = store_files(store)
+    assert invoke("lineage", "--store", store, "--artifact", digit.upper()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"matches {len(matches)} artifacts" in captured.err
+    assert all(match in captured.err for match in matches)
+    assert store_files(store) == before
+    unmatched = next(a + b for a in HEX_DIGITS for b in HEX_DIGITS
+                     if not any(h.startswith(a + b) for h in artifacts))
+    assert invoke("lineage", "--store", store, "--artifact", unmatched) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+def test_undecodable_edit_log_fails_run_with_one_error_line(project, capsys):
+    assert invoke(*run_args(project)) == 0
+    edit_log = project["tmp"] / "store" / "edits.json"
+    edit_log.write_bytes(b"{oops")
+    capsys.readouterr()
+    assert invoke(*run_args(project)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable edit log") and err.count("\n") == 1
+    assert str(edit_log) in err
+
+
+def test_undecodable_latest_report_fails_explain_with_one_error_line(project, capsys):
+    assert invoke(*run_args(project)) == 0
+    [run_id] = FileStore(project["store"]).list_runs()
+    report = project["tmp"] / "store" / "runs" / run_id / "report"
+    report.write_bytes(b"{oops")
+    capsys.readouterr()
+    assert invoke("explain", "--store", project["store"], "--node", "digest") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: unreadable run report") and err.count("\n") == 1
+    assert str(report) in err

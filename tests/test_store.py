@@ -719,3 +719,85 @@ def test_node_id_outside_the_store_is_refused_before_any_file(tmp_path, call):
     with pytest.raises(StorageError, match="invalid node id"):
         getattr(store, call)(*args)
     assert victim.read_bytes() == b"kept line\ntorn tail"
+
+
+def test_second_put_of_the_same_bytes_keeps_the_first_metadata(store):
+    identity = identity_for(b"first")
+    artifact_id = store.put_artifact(b"shared bytes", "text", "first-maker", identity)
+    assert store.put_artifact(b"shared bytes", "json", "second-maker", None) == artifact_id
+    artifact = store.get_artifact(artifact_id)
+    assert (artifact.content_type, artifact.producer) == ("text", "first-maker")
+    assert artifact.produced_under == identity
+
+
+def test_a_changed_run_report_read_leaves_the_next_read_unchanged(store):
+    def report() -> dict:
+        return {"decisions": [{"node_id": "a"}], "totals": {"elapsed": 0.5}, "failed_node": None}
+
+    store.put_run_report("run-1", report())
+    read = store.get_run_report("run-1")
+    read["decisions"][0]["node_id"] = "changed"
+    read["totals"].clear()
+    read["extra"] = 1
+    assert store.get_run_report("run-1") == report()
+
+
+def test_a_put_failing_between_its_writes_leaves_no_object(tmp_path, monkeypatch):
+    import dagline.store
+
+    store = FileStore(tmp_path / "store")
+    real_write = dagline.store._atomic_write
+    writes = []
+
+    def second_write_fails(path, payload):
+        writes.append(path)
+        if len(writes) == 2:
+            raise StorageError(f"injected failure writing {path}")
+        real_write(path, payload)
+
+    monkeypatch.setattr(dagline.store, "_atomic_write", second_write_fails)
+    with pytest.raises(StorageError, match="injected"):
+        store.put_artifact(b"payload", "text", "n", None)
+    assert not store.has_artifact(hash_content(b"payload"))
+    assert store.artifact_count() == 0
+
+
+def test_memory_store_run_encodes_no_document(monkeypatch):
+    import dagline.store
+    from conftest import chain_workspace
+
+    def refuse(value):
+        raise AssertionError("a MemoryStore encoded a document")
+
+    monkeypatch.setattr(dagline.store, "canonical_json_bytes", refuse)
+    workspace = chain_workspace()
+    cold = run(workspace, FULL, run_id="cold")
+    replay = run(workspace, run_id="replay")
+    assert {d.action for d in replay.decisions} == {REPLAYED}
+    assert workspace.store.get_run_report("cold")["final_artifacts"] == {
+        node: artifact.hex for node, artifact in cold.final_artifacts.items()
+    }
+
+
+def _corrupt(path) -> str:
+    path.write_bytes(b"{oops")
+    return str(path)
+
+
+def test_undecodable_sidecar_fails_get_artifact_with_its_path(tmp_path):
+    store = FileStore(tmp_path / "store")
+    artifact_id = store.put_artifact(b"sidecar bytes", "text", "n", None)
+    hex_id = artifact_id.hex
+    path = _corrupt(tmp_path / "store" / "objects" / hex_id[:2] / f"{hex_id[2:]}.json")
+    with pytest.raises(StorageError, match="unreadable artifact sidecar") as caught:
+        store.get_artifact(artifact_id)
+    assert path in str(caught.value)
+
+
+def test_undecodable_run_report_fails_with_its_path(tmp_path):
+    store = FileStore(tmp_path / "store")
+    store.put_run_report("run-1", {"run_id": "run-1"})
+    path = _corrupt(tmp_path / "store" / "runs" / "run-1" / "report")
+    with pytest.raises(StorageError, match="unreadable run report") as caught:
+        store.get_run_report("run-1")
+    assert path in str(caught.value)
