@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
-from dagline.errors import DaglineError, ManifestError
+from dagline.errors import DaglineError, ManifestError, StorageError
 from dagline.evaluation.scenarios import TASKS
 from dagline.evaluation.experiment import run_experiment
 from dagline.graph import (
@@ -49,6 +50,9 @@ try:
     import fcntl
 except ImportError:  # non-POSIX; advisory locking degrades to a no-op
     fcntl = None  # type: ignore[assignment]
+
+
+_HEX_DIGEST = re.compile("[0-9a-f]{64}")
 
 
 class UsageError(DaglineError):
@@ -220,10 +224,27 @@ def _edit_log_path(store: FileStore) -> Path:
 
 
 def _read_edit_log(store: FileStore) -> list[dict]:
+    """The store's edit log; ``StorageError`` naming the file if it does not decode
+    or an entry is not one ``dagline edit`` writes."""
     path = _edit_log_path(store)
     if not path.exists():
         return []
-    return _decode(path.read_bytes(), "edit log", path)
+    log = _decode(path.read_bytes(), "edit log", path)
+    if not isinstance(log, list) or not all(map(_is_edit_entry, log)):
+        raise StorageError(
+            f"malformed edit log {path}: expected a list of edits, each with a kind, "
+            "a node, a port for a context-edit and a 64-digit artifact hash"
+        )
+    return log
+
+
+def _is_edit_entry(entry: object) -> bool:
+    if not isinstance(entry, dict) or entry.get("kind") not in (CONTEXT_EDIT, ARTIFACT_EDIT):
+        return False
+    names = ("artifact", "node", "port") if entry["kind"] == CONTEXT_EDIT else ("artifact", "node")
+    if not all(isinstance(entry.get(name), str) for name in names):
+        return False
+    return _HEX_DIGEST.fullmatch(entry["artifact"]) is not None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -379,7 +400,11 @@ def _load_report(store: FileStore, run_id: str | None) -> RunReport:
         run_id = runs[-1]
     elif run_id not in runs:
         raise DaglineError(f"no run report {run_id!r}")
-    return report_from_doc(store.get_run_report(run_id))
+    doc = store.get_run_report(run_id)
+    try:
+        return report_from_doc(doc)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise StorageError(f"malformed run report {store.report_path(run_id)}: {exc!r}") from exc
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:

@@ -28,7 +28,7 @@ from dagline.errors import (
     UnknownExecutorError,
 )
 from dagline.graph import ContextBinding, NodeSpec
-from dagline.identity import ContentHash, _plain, canonical_json_bytes, hash_content
+from dagline.identity import ContentHash, hash_content
 from dagline.store import ExecutionStats
 
 MARKER_PATTERN = re.compile(rb"MARK:[A-Z0-9_.-]+(?::[A-Z0-9_.-]+)*")
@@ -126,16 +126,17 @@ class ExecutorRegistry:
 
 
 def extract_markers(content: bytes) -> list[str]:
-    """Distinct marker tokens in order of first appearance."""
-    seen: dict[str, None] = {}
-    for match in MARKER_PATTERN.finditer(content):
-        seen.setdefault(match.group(0).decode("ascii"))
-    return list(seen)
+    """Distinct marker tokens in order of first appearance; each is decoded once."""
+    return [marker.decode("ascii") for marker in dict.fromkeys(MARKER_PATTERN.findall(content))]
 
 
 def config_digest(spec: NodeSpec) -> str:
-    """SHA-256 of the config, normalised as the spec hash normalises it."""
-    return hash_content(canonical_json_bytes(_plain(spec.config))).hex
+    """SHA-256 of the config's canonical JSON, the text the spec hash embeds.
+
+    The text is ``spec.config_json``, encoded once per spec, so a node's
+    executions and its spec hash share one encoding.
+    """
+    return hash_content(spec.config_json.encode("utf-8")).hex
 
 
 def synthesize(spec: NodeSpec, state: ResolvedLocalState) -> NodeResult:
@@ -166,14 +167,14 @@ def synthesize(spec: NodeSpec, state: ResolvedLocalState) -> NodeResult:
                 scratch.update(content)
 
     lines = ["synthesis/v1", f"node: {spec.node_id}", f"instructions: {config_digest(spec)}"]
-    body: dict[str, None] = {}
+    seen: list[str] = []
     for port, content_hash, content in surface:
+        markers = extract_markers(content)
         lines.append(f"port: {port} {content_hash.hex}")
-        for marker in extract_markers(content):
-            lines.append(f"mark: {marker}")
-            body.setdefault(marker)
+        lines += [f"mark: {marker}" for marker in markers]
+        seen += markers
     lines.append("body:")
-    lines.extend(f"note: {marker}" for marker in body)
+    lines += [f"note: {marker}" for marker in dict.fromkeys(seen)]
     output = ("\n".join(lines) + "\n").encode("utf-8")
     return NodeResult(canonical_output=(output, spec.output_type))
 
@@ -232,8 +233,10 @@ def execute(
             f"node {spec.node_id!r} produced type {output_type!r}, "
             f"contract requires {spec.output_type!r}"
         )
+    input_chars = sum([len(b.content) for b in state.context_entries])
+    input_chars += sum([len(d.content) for d in state.dependency_artifacts.values()])
     stats = ExecutionStats(
-        input_chars=sum(len(content) for _, _, content in state.input_surface()),
+        input_chars=input_chars,
         output_chars=len(result.canonical_output[0]),
         synthesis_calls=1 if spec.executor_kind == SYNTHESIS else 0,
         elapsed=elapsed,

@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from dagline.errors import CycleError, UnknownNodeError, UnknownTargetError
-from dagline.identity import ContentHash, hash_content, hash_spec
+from dagline.identity import ContentHash, encode_config, hash_content, hash_spec
 from dagline.store import unsafe_name
 
 if TYPE_CHECKING:
@@ -45,13 +45,23 @@ class PortDecl:
             raise ValueError(f"port source must be dependency or context, got {self.source!r}")
 
 
+class _ConfigJsonSlot:
+    """A slot outside ``NodeSpec``'s fields: building a spec leaves it unset, and
+    equality, ``repr``, ``replace`` and pickling ignore it."""
+
+    __slots__ = ("_config_json",)
+
+
 @dataclass(frozen=True, slots=True)
-class NodeSpec:
+class NodeSpec(_ConfigJsonSlot):
     """A node's structural specification.
 
     The executor config is part of the structure: the same procedure with
     different parameters is a different computation, so config participates
-    in the execution identity.
+    in the execution identity. Its canonical JSON (``config_json``) is
+    encoded on first use and kept in a slot that is not a field; like
+    ``WorkflowGraph.spec_hash``, that relies on a spec, its config included,
+    never changing. Building a spec computes and stores nothing more.
     """
 
     node_id: str
@@ -63,6 +73,16 @@ class NodeSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "config", dict(self.config))
         object.__setattr__(self, "input_ports", tuple(self.input_ports))
+
+    @property
+    def config_json(self) -> str:
+        """The config's canonical JSON text, encoded once; the spec hash and synthesis read it."""
+        try:
+            return self._config_json
+        except AttributeError:  # first use
+            text = encode_config(self.config)
+            object.__setattr__(self, "_config_json", text)
+            return text
 
     def context_port(self, name: str) -> PortDecl:
         for p in self.input_ports:

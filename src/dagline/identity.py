@@ -10,16 +10,23 @@ Canonical encoding (the on-disk compatibility contract, see docs/FORMATS.md):
 every hashed structure is rendered as compact JSON with lexicographically
 sorted object keys, separators ``(",", ":")``, non-ASCII preserved, encoded
 as UTF-8. Lists keep their declared order only where order is semantic
-(a node's input ports); everything map-like is sorted.
+(a node's input ports); everything map-like is sorted. One module-level
+``json.JSONEncoder`` writes every such document. The spec and identity
+documents, whose keys are fixed, are written by hand around it
+(``canonical_bytes``, ``_identity_document``) and equal what the encoder
+would write. A spec's config is encoded once, on first use, and kept on the
+``NodeSpec``; like ``WorkflowGraph.spec_hash``, that relies on a spec never
+changing after it is built.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _json_string
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable
 
 from dagline.errors import DuplicatePortError, IntegrityError
 
@@ -27,13 +34,17 @@ if TYPE_CHECKING:
     from dagline.graph import ContextBinding, NodeSpec
 
 DIGEST_SIZE = 32
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def canonical_json_bytes(value: Any) -> bytes:
     """Encode a JSON-compatible value canonically (sorted keys, compact, UTF-8)."""
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
+    return _ENCODER.encode(value).encode("utf-8")
+
+
+def encode_config(config: Mapping[str, Any]) -> str:
+    """A config's canonical JSON text; ``TypeError`` if ``_plain`` rejects it."""
+    return _ENCODER.encode(_plain(config))
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -80,18 +91,24 @@ def hash_content(content: bytes) -> ContentHash:
 def canonical_bytes(spec: NodeSpec) -> bytes:
     """Canonical byte encoding of a node's structural spec.
 
-    Config keys are sorted; the input-port list keeps its declared order
-    because port order is part of the structure. Field-wise equal specs
-    produce identical bytes regardless of how they were constructed.
+    Equal to ``canonical_json_bytes({"config": ..., "executor": ..., "id":
+    ..., "inputs": [[name, type, source], ...], "output_type": ...})``, written
+    by hand around the config's canonical JSON (``NodeSpec.config_json``,
+    encoded once per spec): the keys are already in order and every string
+    gets the escaping ``json.dumps(ensure_ascii=False)`` applies. Config keys
+    are sorted; the input-port list keeps its declared order because port
+    order is part of the structure. Field-wise equal specs produce identical
+    bytes regardless of how they were constructed.
     """
-    doc = {
-        "config": _plain(spec.config),
-        "executor": spec.executor_kind,
-        "id": spec.node_id,
-        "inputs": [[p.name, p.artifact_type, p.source] for p in spec.input_ports],
-        "output_type": spec.output_type,
-    }
-    return canonical_json_bytes(doc)
+    inputs = ",".join([  # a port's source is "dependency" or "context": nothing to escape
+        f'[{_json_string(p.name)},{_json_string(p.artifact_type)},"{p.source}"]'
+        for p in spec.input_ports
+    ])
+    return (
+        f'{{"config":{spec.config_json},"executor":{_json_string(spec.executor_kind)},'
+        f'"id":{_json_string(spec.node_id)},"inputs":[{inputs}],'
+        f'"output_type":{_json_string(spec.output_type)}}}'
+    ).encode("utf-8")
 
 
 def hash_spec(spec: NodeSpec) -> ContentHash:
@@ -237,11 +254,20 @@ def identity_from_doc(doc: Mapping[str, Any]) -> ExecutionIdentity:
 
 
 def _plain(value: Any) -> Any:
-    """Reject config values that would not round-trip through canonical JSON."""
-    if isinstance(value, Mapping):
-        return {str(k): _plain(v) for k, v in value.items()}
+    """Reject config values that would not round-trip through canonical JSON.
+
+    Keys are converted with ``str``; two keys that convert to the same string
+    (``1`` and ``"1"``) are rejected, since one encoding cannot tell them apart.
+    """
+    if value is None or isinstance(value, (str, int, float)):  # bool is an int
+        return value
+    if isinstance(value, (dict, Mapping)):  # a dict passes without an ABC check
+        plain = {str(k): _plain(v) for k, v in value.items()}
+        if len(plain) != len(value):
+            names = [str(k) for k in value]
+            clash = next(name for name in names if names.count(name) > 1)
+            raise TypeError(f"config keys collide as the string {clash!r}")
+        return plain
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
     raise TypeError(f"config values must be JSON-compatible, got {type(value).__name__}")

@@ -42,7 +42,8 @@ Node ids and run ids become file names, so ``unsafe_name`` is the one rule
 for both: an empty name, ``.``, ``..``, or one holding ``/`` or NUL. A store
 refuses such a name with ``StorageError`` before it opens any file for it.
 A FileStore document that does not decode (a ledger entry, a sidecar or a
-run report) fails with ``StorageError`` naming its file.
+run report), or a sidecar that lacks a field, fails with ``StorageError``
+naming its file.
 """
 
 from __future__ import annotations
@@ -592,9 +593,16 @@ class FileStore(BaseStore):
                 meta = _decode(fh.read(), "artifact sidecar", path)
         except OSError as exc:
             raise StorageError(f"cannot read artifact {hex_id[:12]}: {exc}") from exc
-        doc = meta["produced_under"]
-        meta["produced_under"] = None if doc is None else identity_from_doc(doc)
-        return meta
+        try:
+            doc = meta["produced_under"]
+            return {
+                "content_type": meta["content_type"],
+                "created_at": meta["created_at"],
+                "producer": meta["producer"],
+                "produced_under": None if doc is None else identity_from_doc(doc),
+            }
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise StorageError(f"malformed artifact sidecar {path}: {exc!r}") from exc
 
     def _object_ids(self) -> list[str]:
         ids = []
@@ -649,8 +657,11 @@ class FileStore(BaseStore):
         run_dir.mkdir(parents=True, exist_ok=True)
         _atomic_write(run_dir / "report", payload)
 
+    def report_path(self, run_id: str) -> Path:
+        return self.root / "runs" / check_name(run_id, "run id") / "report"
+
     def get_run_report(self, run_id: str) -> dict:
-        path = self.root / "runs" / check_name(run_id, "run id") / "report"
+        path = self.report_path(run_id)
         try:
             return _decode(path.read_bytes(), "run report", path)
         except OSError:

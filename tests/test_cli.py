@@ -622,3 +622,38 @@ def test_undecodable_latest_report_fails_explain_with_one_error_line(project, ca
     err = capsys.readouterr().err
     assert err.startswith("error: unreadable run report") and err.count("\n") == 1
     assert str(report) in err
+
+
+@pytest.mark.parametrize("log", [
+    {"a": 1},
+    [{"kind": "artifact-edit"}],
+    [{"kind": "context-edit", "node": "fetch", "artifact": "ab" * 32}],
+    [{"kind": "artifact-edit", "node": "digest", "artifact": "not hex"}],
+    ["artifact-edit"],
+])
+def test_malformed_edit_log_fails_run_with_one_error_line(project, capsys, log):
+    assert invoke(*run_args(project)) == 0
+    edit_log = project["tmp"] / "store" / "edits.json"
+    edit_log.write_text(json.dumps(log))
+    before = store_files(project["store"])
+    capsys.readouterr()
+    assert invoke(*run_args(project)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed edit log") and err.count("\n") == 1
+    assert str(edit_log) in err
+    assert store_files(project["store"]) == before
+
+
+@pytest.mark.parametrize("report", [{}, [], {"decisions": [{"node_id": "digest"}]}])
+def test_malformed_latest_report_fails_explain_with_one_error_line(project, capsys, report):
+    assert invoke(*run_args(project)) == 0
+    [run_id] = FileStore(project["store"]).list_runs()
+    path = project["tmp"] / "store" / "runs" / run_id / "report"
+    path.write_text(json.dumps(report))
+    before = store_files(project["store"])
+    capsys.readouterr()
+    assert invoke("explain", "--store", project["store"], "--node", "digest") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed run report") and err.count("\n") == 1
+    assert str(path) in err
+    assert store_files(project["store"]) == before

@@ -8,7 +8,7 @@ import os
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from dagline.errors import (
@@ -19,9 +19,11 @@ from dagline.errors import (
     UnknownExecutorError,
 )
 from dagline.executors import (
+    MARKER_PATTERN,
     ExecutorRegistry,
     NodeResult,
     ResolvedLocalState,
+    config_digest,
     default_registry,
     execute,
     extract_markers,
@@ -231,3 +233,76 @@ class TestExecuteWrapper:
 def test_stats_reject_negative_counts():
     with pytest.raises(ValueError):
         ExecutionStats(input_chars=-1)
+
+
+# The marker extraction and synthesis body as they were before one findall
+# per input replaced the per-match loop: the reference the rewrite must match.
+def _reference_extract_markers(content: bytes) -> list[str]:
+    seen: dict[str, None] = {}
+    for match in MARKER_PATTERN.finditer(content):
+        seen.setdefault(match.group(0).decode("ascii"))
+    return list(seen)
+
+
+def _reference_body(surface) -> list[str]:
+    lines = []
+    body: dict[str, None] = {}
+    for port, content_hash, content in surface:
+        lines.append(f"port: {port} {content_hash.hex}")
+        for marker in _reference_extract_markers(content):
+            lines.append(f"mark: {marker}")
+            body.setdefault(marker)
+    lines.append("body:")
+    lines.extend(f"note: {marker}" for marker in body)
+    return lines
+
+
+_markers = st.from_regex(rb"\AMARK:[A-Z0-9_.-]{1,4}(:[A-Z0-9_.-]{1,4}){0,2}\Z")
+_filler = st.one_of(
+    st.binary(max_size=6),
+    st.sampled_from([b"", b" ", b":", b"MARK", b"MARK:", b"\xc3\xa9", b"\xff", b"\xe2\x82\xac", b"a"]),
+)
+
+
+@st.composite
+def planted(draw) -> bytes:
+    """Filler with markers planted in it: repeated, adjacent, or next to non-ASCII bytes."""
+    pool = draw(st.lists(_markers, min_size=1, max_size=3))
+    return b"".join(draw(st.lists(st.one_of(st.sampled_from(pool), _filler), max_size=10)))
+
+
+@seed(20261022)
+@settings(max_examples=300, deadline=None)
+@given(content=planted())
+@example(content=b"MARK:A:1MARK:B\xc3\xa9MARK:A:1 MARK:A:1:\xffMARK:B")
+def test_extract_markers_equals_the_finditer_loop(content):
+    assert extract_markers(content) == _reference_extract_markers(content)
+
+
+@seed(20261022)
+@settings(max_examples=100, deadline=None)
+@given(contents=st.lists(planted(), min_size=1, max_size=3))
+def test_synthesis_body_equals_the_per_marker_loop(contents):
+    ports = {f"p{i}": content for i, content in enumerate(contents)}
+    state = ctx_state(**ports)
+    output, _ = synthesize(spec_with_ctx("n", *ports), state).canonical_output
+    body = output.decode().split("\n")[3:-1]  # after the three header lines
+    assert body == _reference_body(state.input_surface())
+
+
+@seed(20261022)
+@settings(max_examples=200, deadline=None)
+@given(config=st.dictionaries(
+    st.text(max_size=5),
+    st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=5)),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=6,
+    ),
+    max_size=4,
+))
+def test_config_digest_is_the_golden_document_formula(config):
+    expected = hashlib.sha256(json.dumps(
+        config, sort_keys=True, separators=(",", ":"), ensure_ascii=False
+    ).encode()).hexdigest()
+    assert config_digest(NodeSpec("n", "synthesis", config)) == expected

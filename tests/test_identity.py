@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import example, given, seed, settings
@@ -238,3 +239,105 @@ def test_identity_value_is_the_canonical_json_document(spec, inputs, preds):
         "spec": spec.hex,
     }
     assert _identity_value(spec, inputs, preds) == hash_content(canonical_json_bytes(doc))
+
+
+class TestConfigKeys:
+    def test_keys_colliding_as_strings_are_rejected(self):
+        for config in ({1: "a", "1": "b"}, {"outer": {True: 1, "True": 2}}):
+            with pytest.raises(TypeError, match="collide"):
+                hash_spec(NodeSpec("n", "synthesis", config))
+
+    def test_keys_that_do_not_collide_hash_as_their_strings(self):
+        assert canonical_bytes(NodeSpec("n", "synthesis", {1: "a", "2": "b", None: 3})) == \
+            canonical_bytes(NodeSpec("n", "synthesis", {"1": "a", "2": "b", "None": 3}))
+
+
+# The encoders as they were before the spec document was written by hand,
+# kept as the reference the rewritten ones must match byte for byte.
+def _reference_plain(value):
+    if isinstance(value, Mapping):
+        return {str(k): _reference_plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_plain(v) for v in value]
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    raise TypeError(f"config values must be JSON-compatible, got {type(value).__name__}")
+
+
+def _reference_canonical_bytes(spec: NodeSpec) -> bytes:
+    doc = {
+        "config": _reference_plain(spec.config),
+        "executor": spec.executor_kind,
+        "id": spec.node_id,
+        "inputs": [[p.name, p.artifact_type, p.source] for p in spec.input_ports],
+        "output_type": spec.output_type,
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+
+
+def _keys_collide(value) -> bool:
+    if isinstance(value, dict):
+        return len({str(k) for k in value}) != len(value) or any(map(_keys_collide, value.values()))
+    if isinstance(value, (list, tuple)):
+        return any(map(_keys_collide, value))
+    return False
+
+
+# Quotes, backslashes, control characters and non-ASCII text, mixed with any text.
+_awkward_text = st.one_of(
+    st.text(st.sampled_from('"\\\x00\x01\x1f\x7f\n\t/é€ 😀aZ:'), max_size=6),
+    st.text(max_size=6),
+)
+_config_values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), _awkward_text,
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(_awkward_text, st.integers(-2, 2)), inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+_ports = st.lists(
+    st.builds(PortDecl, _awkward_text, _awkward_text, st.sampled_from(["dependency", "context"])),
+    max_size=3,
+)
+
+
+@seed(20261022)
+@settings(max_examples=300, deadline=None)
+@given(
+    node_id=_awkward_text, kind=_awkward_text, output_type=_awkward_text, ports=_ports,
+    config=st.dictionaries(st.one_of(_awkward_text, st.integers(-2, 2)), _config_values,
+                           max_size=4),
+)
+@example(node_id='"', kind="\\", output_type="\x00é", ports=[], config={1: "a", "1": "b"})
+def test_canonical_bytes_equals_the_json_dumps_document(node_id, kind, output_type, ports, config):
+    spec = NodeSpec(node_id, kind, config, tuple(ports), output_type)
+    if _keys_collide(config):
+        with pytest.raises(TypeError, match="collide"):
+            canonical_bytes(spec)
+        return
+    assert canonical_bytes(spec) == _reference_canonical_bytes(spec)
+    assert hash_spec(spec) == hash_content(_reference_canonical_bytes(spec))
+
+
+class TestSpecHashScale:
+    """Spec hashing is counted, not timed: Python calls per spec of a 20x20 lattice.
+
+    Each spec's config is encoded on its first hash. Before the spec document
+    was written by hand around a once-encoded config, this took 39.0 calls per
+    spec; it takes 32.9 now.
+    """
+
+    def test_hashing_every_spec_makes_a_bounded_number_of_calls_per_spec(self):
+        import cProfile
+        import pstats
+
+        from test_scheduler import lattice_graph
+
+        specs = list(lattice_graph(20, 20).nodes.values())
+        profile = cProfile.Profile()
+        profile.runcall(lambda: [hash_spec(spec) for spec in specs])
+        assert pstats.Stats(profile).total_calls <= 36 * len(specs)
